@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
@@ -491,11 +491,12 @@ def band_isolation_check(table: BandTable, n: int, factor: float = 10.0):
 
 
 class DispersionModel:
-    """Periodic interpolants of E_n, grad E_n, hess E_n and A_n over Gamma*.
+    """Periodic interpolant of E_n, grad E_n, hess E_n and A_n over Gamma*.
 
-    Queries accept shape (m, d) (or (m,) when d == 1) and wrap into Gamma*.
-    Interpolation is cubic and periodic; order recorded in
-    `interpolation_order`.
+    The four node fields are stacked into one interpolant, so `query`
+    returns all of them from a single evaluation.  Queries accept shape
+    (m, d) (or (m,) when d == 1) and wrap into Gamma*.  Interpolation is
+    cubic and periodic; order recorded in `interpolation_order`.
     """
 
     interpolation_order = "cubic-periodic"
@@ -509,59 +510,48 @@ class DispersionModel:
         self.band = n
         nb1 = table.band_index(n)
         g = table.grid
-        self.dimension = g.dimension
+        d = self.dimension = g.dimension
         self._raw_hess = table.hess_e[:, nb1]
-        e = table.energies[:, nb1].reshape(g.shape)
-        ge = table.grad_e[:, nb1].reshape(g.shape + (g.dimension,))
-        he = table.hess_e[:, nb1].reshape(g.shape + (g.dimension, g.dimension))
-        be = table.berry[:, nb1].reshape(g.shape + (g.dimension,))
-        if g.dimension == 1:
+        # columns: E | grad E (d) | hess E (d*d, row-major) | A (d)
+        stacked = np.concatenate(
+            [table.energies[:, nb1, None], table.grad_e[:, nb1],
+             table.hess_e[:, nb1].reshape(-1, d * d), table.berry[:, nb1]],
+            axis=1).reshape(g.shape + (-1,))
+        if d == 1:
             ax = np.append(g.axis_nodes, np.pi)
-
-            def per(yvals):
-                y = np.concatenate([yvals, yvals[:1]], axis=0)
-                return CubicSpline(ax, y, axis=0, bc_type="periodic")
-
-            self._e, self._ge = per(e), per(ge)
-            self._he, self._be = per(he), per(be)
+            spline = CubicSpline(ax, np.concatenate([stacked, stacked[:1]], axis=0),
+                                 axis=0, bc_type="periodic")
+            self._interp = lambda q: spline(q[:, 0])
         else:
             pad = 4
             ext = np.arange(-pad, g.nodes_per_axis + pad)
             ax = -np.pi + g.spacing * ext
             take = ext % g.nodes_per_axis
+            self._interp = RegularGridInterpolator(
+                (ax, ax), stacked[np.ix_(take, take)], method="cubic", bounds_error=True)
 
-            def per(yvals):
-                padded = yvals[np.ix_(take, take)]
-                return RegularGridInterpolator((ax, ax), padded, method="cubic",
-                                               bounds_error=True)
-
-            self._e, self._ge = per(e), per(ge)
-            self._he, self._be = per(he), per(be)
-
-    def _wrap(self, p):
+    def query(self, p):
+        """(E, grad E, symmetrized hess E, A) at p from one interpolant call;
+        shapes (m,), (m, d), (m, d, d), (m, d)."""
         p = np.asarray(p, dtype=float)
         if self.dimension == 1 and (p.ndim == 1 or p.shape[-1] != 1):
             p = p.reshape(-1, 1)
-        return (p + np.pi) % TWO_PI - np.pi
-
-    def _query(self, interp, p):
-        q = self._wrap(p)
-        if self.dimension == 1:
-            return interp(q[:, 0])
-        return interp(q)
+        d = self.dimension
+        v = self._interp((p + np.pi) % TWO_PI - np.pi)
+        h = v[:, 1 + d:1 + d + d * d].reshape(-1, d, d)
+        return v[:, 0], v[:, 1:1 + d], 0.5 * (h + np.swapaxes(h, -1, -2)), v[:, 1 + d + d * d:]
 
     def energy(self, p):
-        return self._query(self._e, p)
+        return self.query(p)[0]
 
     def grad(self, p):
-        return self._query(self._ge, p)
+        return self.query(p)[1]
 
     def hess(self, p):
-        h = self._query(self._he, p)
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        return self.query(p)[2]
 
     def berry(self, p):
-        return self._query(self._be, p)
+        return self.query(p)[3]
 
     def hess_bound(self, p_lo=None, p_hi=None, pad: float = 0.5) -> float:
         """max |hess E| over nodes within [p_lo - pad, p_hi + pad] per axis.
@@ -585,10 +575,13 @@ def dispersion_model(table: BandTable, n: int) -> DispersionModel:
 
 
 def prepare_band_table(grid: BrillouinGrid, potential: PeriodicPotential,
-                       n_bands: int, cutoff: int) -> BandTable:
-    """solve_bands -> fix_gauge -> berry_connection -> grad/hessian, in order."""
+                       n_bands: int, cutoff: int, strict_bands=None) -> BandTable:
+    """solve_bands -> fix_gauge -> berry_connection -> grad/hessian, in order.
+
+    `strict_bands` is passed to fix_gauge (default: every band is strict).
+    """
     table = solve_bands(grid, potential, n_bands, cutoff)
-    table = fix_gauge(table)
+    table = fix_gauge(table, strict_bands)
     table = berry_connection(table)
     table = grad_energy(table)
     table = hessian_energy(table)

@@ -24,6 +24,19 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _format_value(kind, val) -> str:
+    """Config text of a field value; set_value parses it back."""
+    if kind == "floats":
+        return ",".join(repr(float(v)) for v in val)
+    if kind == "ints":
+        return ",".join(str(int(v)) for v in val)
+    if kind is bool:
+        return "true" if val else "false"
+    if kind is float:
+        return repr(float(val))
+    return str(val)
+
+
 def parse_lattice_spec(spec: str, dimension: int, amplitude: float = 1.0) -> PeriodicPotential:
     """Lattice potential from a config value.
 
@@ -205,18 +218,7 @@ class RunConfig:
         for sect, entries in self._LAYOUT.items():
             buf.write(f"[{sect}]\n")
             for fname, kind in entries:
-                val = getattr(self, fname)
-                if kind == "floats":
-                    txt = ",".join(repr(float(v)) for v in val)
-                elif kind == "ints":
-                    txt = ",".join(str(int(v)) for v in val)
-                elif kind is bool:
-                    txt = "true" if val else "false"
-                elif kind is float:
-                    txt = repr(float(val))
-                else:
-                    txt = str(val)
-                buf.write(f"{fname} = {txt}\n")
+                buf.write(f"{fname} = {_format_value(kind, getattr(self, fname))}\n")
             buf.write("\n")
         return buf.getvalue()
 
@@ -324,15 +326,4 @@ class RunReport:
     def embed_config(self, cfg: RunConfig):
         for sect, entries in cfg._LAYOUT.items():
             for fname, kind in entries:
-                val = getattr(cfg, fname)
-                if kind == "floats":
-                    txt = ",".join(repr(float(v)) for v in val)
-                elif kind == "ints":
-                    txt = ",".join(str(int(v)) for v in val)
-                elif kind is bool:
-                    txt = "true" if val else "false"
-                elif kind is float:
-                    txt = repr(float(val))
-                else:
-                    txt = str(val)
-                self.put(f"config.{sect}", fname, txt)
+                self.put(f"config.{sect}", fname, _format_value(kind, getattr(cfg, fname)))

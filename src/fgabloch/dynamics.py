@@ -31,7 +31,6 @@ from .potentials import ExternalPotential
 from .transform import SeedSet
 
 TWO_PI = 2.0 * np.pi
-SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,6 @@ class HamiltonianModel:
     @property
     def dimension(self) -> int:
         return self.dispersion.dimension
-
-    def h(self, q, p):
-        return self.dispersion.energy(p) + self.potential.value(q)
 
 
 @dataclass
@@ -112,62 +108,23 @@ def symplectic_residual(F: np.ndarray) -> np.ndarray:
     return np.max(np.abs(resid), axis=(-2, -1))
 
 
-def _a0_lambda(model: HamiltonianModel, Q, P, F):
+def _a0_lambda(F, hess_e, hess_u, berry, grad_u):
     """Logarithmic derivative of a0 along the flow (vectorized)."""
-    d = Q.shape[-1]
+    d = grad_u.shape[-1]
     A, B, C, D = _blocks(F, d)
     dzQ = A - 1j * B
     dzP = C - 1j * D
     Z = dzQ + 1j * dzP
     if d == 1:
         Zinv = 1.0 / Z
-        t1 = 0.5 * (dzP * model.dispersion.hess(P)[..., 0, 0][..., None, None] * Zinv)
-        t3 = 0.5 * (dzQ * model.potential.hess(Q)[..., 0, 0][..., None, None] * Zinv)
-        tr1, tr3 = t1[..., 0, 0], t3[..., 0, 0]
+        tr1 = (0.5 * (dzP * hess_e * Zinv))[..., 0, 0]
+        tr3 = (0.5 * (dzQ * hess_u * Zinv))[..., 0, 0]
     else:
         Zinv = np.linalg.inv(Z)
-        he = model.dispersion.hess(P).astype(complex)
-        hu = model.potential.hess(Q).astype(complex)
-        tr1 = 0.5 * np.einsum("nij,njk,nki->n", dzP, he, Zinv)
-        tr3 = 0.5 * np.einsum("nij,njk,nki->n", dzQ, hu, Zinv)
-    berry = model.dispersion.berry(P)
-    gradu = model.potential.grad(Q)
-    adotg = np.sum(berry * gradu, axis=-1)
+        tr1 = 0.5 * np.einsum("nij,njk,nki->n", dzP, hess_e.astype(complex), Zinv)
+        tr3 = 0.5 * np.einsum("nij,njk,nki->n", dzQ, hess_u.astype(complex), Zinv)
+    adotg = np.sum(berry * grad_u, axis=-1)
     return tr1 - 1j * adotg - 1j * tr3
-
-
-def flow_rhs(state: TrajectoryState, model: HamiltonianModel):
-    """(dQ/dt, dP/dt) = (grad E(P), -grad U(Q))."""
-    p_true = state.P + TWO_PI * state.winding
-    dq = model.dispersion.grad(p_true[None, :])[0]
-    dp = -model.potential.grad(state.Q[None, :])[0]
-    return dq, dp
-
-
-def action_rhs(state: TrajectoryState, model: HamiltonianModel) -> float:
-    p_true = (state.P + TWO_PI * state.winding)[None, :]
-    grad_e = model.dispersion.grad(p_true)[0]
-    h = float(model.dispersion.energy(p_true)[0]
-              + model.potential.value(state.Q[None, :])[0])
-    return float(np.dot(state.P + TWO_PI * state.winding, grad_e) - h)
-
-
-def jacobian_rhs(state: TrajectoryState, model: HamiltonianModel) -> np.ndarray:
-    """dF/dt = [[0, hess E], [-hess U, 0]] F."""
-    d = state.Q.shape[0]
-    he = model.dispersion.hess((state.P + TWO_PI * state.winding)[None, :])[0]
-    hu = model.potential.hess(state.Q[None, :])[0]
-    K = np.zeros((2 * d, 2 * d))
-    K[:d, d:] = he
-    K[d:, :d] = -hu
-    return K @ state.F
-
-
-def a0_rhs(state: TrajectoryState, model: HamiltonianModel) -> complex:
-    lam = _a0_lambda(model, state.Q[None, :],
-                     (state.P + TWO_PI * state.winding)[None, :],
-                     state.F[None, :, :])[0]
-    return state.a0 * lam
 
 
 # stencil layout for the a1 source terms (d == 1):
@@ -191,20 +148,20 @@ def _dz2(vals, delta):
     return dqq - dpp - 2j * dqp
 
 
-def _a1_sources(model: HamiltonianModel, Q, F, delta):
+def _a1_sources(potential: ExternalPotential, Q, F, upp, delta):
     """Source terms of the first-order amplitude from stencil cores.
 
-    Q, F carry a stencil axis: Q (n, 9, 1), F (n, 9, 2, 2).  Returns the
-    complex combination  tr-terms  multiplying i*a0 in da1/dt.
+    Q, F carry a stencil axis: Q (n, 9, 1), F (n, 9, 2, 2); upp (n, 9) is
+    U'' at Q.  Returns the complex combination  tr-terms  multiplying i*a0
+    in da1/dt.
     """
     A, B, C, D = _blocks(F, 1)
     dzQ = (A - 1j * B)[..., 0, 0]                       # (n, 9)
     Z = (A + D + 1j * (C - B))[..., 0, 0]
     Zinv = 1.0 / Z
     q_flat = Q.reshape(-1, 1)
-    upp = model.potential.hess(q_flat)[:, 0, 0].reshape(Q.shape[:2])
-    uppp = model.potential.third(q_flat)[:, 0, 0, 0].reshape(Q.shape[:2])
-    upppp = model.potential.fourth(q_flat)[:, 0, 0, 0, 0].reshape(Q.shape[:2])
+    uppp = potential.third(q_flat)[:, 0, 0, 0].reshape(Q.shape[:2])
+    upppp = potential.fourth(q_flat)[:, 0, 0, 0, 0].reshape(Q.shape[:2])
 
     Y = (1.0 - upp) * Zinv
     term1 = _dz2(Y, delta) * Zinv[:, 0] + _dz(Y, delta) * _dz(Zinv, delta)
@@ -216,9 +173,39 @@ def _a1_sources(model: HamiltonianModel, Q, F, delta):
     return 0.5 * term1 + term2 / 3.0 + term3 / 6.0 - term4 / 8.0
 
 
-def a1_rhs(a0: complex, a1: complex, lam: complex, sources: complex) -> complex:
-    """da1/dt = a1 * lambda0 + i a0 * (source combination)."""
-    return a1 * lam + 1j * a0 * sources
+def _rhs(model: HamiltonianModel, Q, P, F, a0, a1, delta=None):
+    """Time derivatives (dQ, dP, dF, dS, da0, da1) of the ensemble state.
+
+    Q, P (n, cores, d) with P unwrapped, F (n, cores, 2d, 2d), a0, a1 (n,).
+    Core 0 is the trajectory itself; with `delta` (the stencil spacing) the
+    N_STENCIL cores carry the a1 stencil and da1 is transported, otherwise
+    da1 = 0.  E, grad E, hess E and A come from one dispersion query.
+    """
+    d = Q.shape[-1]
+    lead = Q.shape[:2]
+    qf = Q.reshape(-1, d)
+    e, grad_e, hess_e, berry = model.dispersion.query(P.reshape(-1, d))
+    grad_u = model.potential.grad(qf).reshape(Q.shape)
+    hess_u = model.potential.hess(qf).reshape(lead + (d, d))
+    hess_e = hess_e.reshape(lead + (d, d))
+    dQ = grad_e.reshape(Q.shape)
+    dP = -grad_u
+    K = np.zeros(lead + (2 * d, 2 * d))
+    K[..., :d, d:] = hess_e
+    K[..., d:, :d] = -hess_u
+    dF = K @ F
+    pm, qm = P[:, 0, :], Q[:, 0, :]
+    h = e.reshape(lead)[:, 0] + model.potential.value(qm)
+    dS = np.sum(pm * dQ[:, 0, :], axis=1) - h
+    lam = _a0_lambda(F[:, 0], hess_e[:, 0], hess_u[:, 0],
+                     berry.reshape(Q.shape)[:, 0], grad_u[:, 0])
+    dA0 = a0 * lam
+    if delta is None:
+        dA1 = np.zeros_like(a1)
+    else:
+        dA1 = a1 * lam + 1j * a0 * _a1_sources(model.potential, Q, F,
+                                               hess_u[..., 0, 0], delta)
+    return dQ, dP, dF, dS, dA0, dA1
 
 
 @dataclass
@@ -319,7 +306,7 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         delta = a1_delta if a1_delta is not None else np.sqrt(seeds.eps) / 8.0
         n_cores = N_STENCIL
     else:
-        delta = 0.0
+        delta = None
         n_cores = 1
 
     checkpoints = sorted({float(T)} | {float(t) for t in (checkpoint_times or [])})
@@ -337,29 +324,6 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
     S = np.zeros(n)
     a0 = np.full(n, 2.0 ** (d / 2.0), dtype=complex)
     a1 = np.zeros(n, dtype=complex)
-
-    def rhs(Q, P, F, S, a0, a1):
-        qf = Q.reshape(-1, d)
-        pf = P.reshape(-1, d)
-        dQ = model.dispersion.grad(pf).reshape(Q.shape)
-        dP = -model.potential.grad(qf).reshape(P.shape)
-        he = model.dispersion.hess(pf).reshape(Q.shape[:2] + (d, d))
-        hu = model.potential.hess(qf).reshape(Q.shape[:2] + (d, d))
-        K = np.zeros(Q.shape[:2] + (2 * d, 2 * d))
-        K[..., :d, d:] = he
-        K[..., d:, :d] = -hu
-        dF = K @ F
-        pm, qm, fm = P[:, 0, :], Q[:, 0, :], F[:, 0]
-        h = model.dispersion.energy(pm) + model.potential.value(qm)
-        dS = np.sum(pm * dQ[:, 0, :], axis=1) - h
-        lam = _a0_lambda(model, qm, pm, fm)
-        dA0 = a0 * lam
-        if enable_a1:
-            src = _a1_sources(model, Q, F, delta)
-            dA1 = a1 * lam + 1j * a0 * src
-        else:
-            dA1 = np.zeros_like(a1)
-        return dQ, dP, dF, dS, dA0, dA1
 
     sympl_run = np.zeros(n)
     sigma_run = np.full(n, np.inf)
@@ -396,13 +360,13 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         n_steps = max(1, int(round(seg / dt)))
         h = seg / n_steps
         for _ in range(n_steps):
-            k1 = rhs(Q, P, F, S, a0, a1)
-            k2 = rhs(Q + 0.5 * h * k1[0], P + 0.5 * h * k1[1], F + 0.5 * h * k1[2],
-                     S + 0.5 * h * k1[3], a0 + 0.5 * h * k1[4], a1 + 0.5 * h * k1[5])
-            k3 = rhs(Q + 0.5 * h * k2[0], P + 0.5 * h * k2[1], F + 0.5 * h * k2[2],
-                     S + 0.5 * h * k2[3], a0 + 0.5 * h * k2[4], a1 + 0.5 * h * k2[5])
-            k4 = rhs(Q + h * k3[0], P + h * k3[1], F + h * k3[2],
-                     S + h * k3[3], a0 + h * k3[4], a1 + h * k3[5])
+            k1 = _rhs(model, Q, P, F, a0, a1, delta)
+            k2 = _rhs(model, Q + 0.5 * h * k1[0], P + 0.5 * h * k1[1], F + 0.5 * h * k1[2],
+                      a0 + 0.5 * h * k1[4], a1 + 0.5 * h * k1[5], delta)
+            k3 = _rhs(model, Q + 0.5 * h * k2[0], P + 0.5 * h * k2[1], F + 0.5 * h * k2[2],
+                      a0 + 0.5 * h * k2[4], a1 + 0.5 * h * k2[5], delta)
+            k4 = _rhs(model, Q + h * k3[0], P + h * k3[1], F + h * k3[2],
+                      a0 + h * k3[4], a1 + h * k3[5], delta)
             Q += (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             P += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             F += (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])

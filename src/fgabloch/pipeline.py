@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 
-from .bloch import (BandTable, BrillouinGrid, band_isolation_check, berry_connection,
-                    dispersion_model, fix_gauge, grad_energy, hessian_energy, solve_bands)
+from .bloch import (BandTable, BrillouinGrid, band_isolation_check, dispersion_model,
+                    prepare_band_table)
 from .config import RunConfig, RunReport
 from .dynamics import HamiltonianModel, integrate_ensemble
 from .errors import ConfigError, NumericError, ResourceLimitError
@@ -58,18 +58,17 @@ def effective_m(cfg: RunConfig, eps: float) -> int:
 
 
 def build_table(cfg: RunConfig, eps: float) -> BandTable:
-    grid = BrillouinGrid(cfg.dimension, effective_m(cfg, eps))
-    table = solve_bands(grid, cfg.lattice(), cfg.n_bands, cfg.cutoff)
-    table = fix_gauge(table, strict_bands=cfg.bands)
-    table = berry_connection(table)
-    table = grad_energy(table)
-    table = hessian_energy(table)
-    return table
+    return prepare_band_table(BrillouinGrid(cfg.dimension, effective_m(cfg, eps)),
+                              cfg.lattice(), cfg.n_bands, cfg.cutoff, strict_bands=cfg.bands)
 
 
-def build_initial(cfg: RunConfig, table: BandTable, eps: float):
-    """Initial wave field (unit L2 norm) and the packet momentum actually used."""
-    n_x = int(round(cfg.length / eps)) * cfg.x_per_cell
+def build_initial(cfg: RunConfig, table: BandTable, eps: float, n_x: int = None):
+    """Initial wave field (unit L2 norm) and the packet momentum actually used.
+
+    A Gaussian packet is sampled on n_x points per axis (default: x_per_cell
+    per lattice cell); a wave-field file keeps its own grid.
+    """
+    n_x = n_x or int(round(cfg.length / eps)) * cfg.x_per_cell
     if cfg.initial_type == "wavefield-file":
         field = WaveField.read(cfg.initial_file)
         if abs(field.eps - eps) > 1e-15 or abs(field.length - cfg.length) > 1e-12:
@@ -220,18 +219,22 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     checkpoints = cfg.checkpoint_times()
     model_pot = cfg.external()
 
-    # t = 0 consistency against the band operator, full (unthresholded) seeds
+    # t = 0 consistency against the band operator, full (unthresholded) seeds;
+    # the band projections also give the time-independent truncation residual
     with timer("t0_consistency"):
         t0_err = 0.0
+        rec = np.zeros_like(psi0.values)
         for n in cfg.bands:
             proj = band_projection(psi0, table, n, psg, r_c=cfg.r_c,
                                    coefficients=coeffs[n])
+            rec = rec + proj.values
             seeds_full = coeffs[n].to_seeds(0.0)
             plan0 = SynthesisPlan(table=table, band=n, seeds=seeds_full,
                                   snapshot=initial_snapshot(seeds_full),
                                   length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c)
             f0 = synthesize(plan0)
             t0_err = max(t0_err, l2_distance(f0, proj)[0])
+        recon_resid = l2_distance(psi0.with_values(rec), psi0)[0]
     report.put("monitors", "t0_consistency", t0_err)
     if t0_err > 1e-10:
         raise NumericError(
@@ -255,7 +258,6 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                sum(res.n_failed for _, res in results.values()))
 
     with timer("synthesize"):
-        recon_resid = None
         for t in checkpoints:
             plans = []
             for n in cfg.bands:
@@ -263,9 +265,7 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                 plans.append(SynthesisPlan(table=table, band=n, seeds=seeds,
                                            snapshot=res.at(t), length=cfg.length,
                                            out_n_x=psi0.n_x, r_c=cfg.r_c))
-            fga, resid = multi_band_synthesize(plans, psi0=psi0, grid=psg, r_c=cfg.r_c)
-            if recon_resid is None:
-                recon_resid = resid
+            fga, _ = multi_band_synthesize(plans)
             label = _fga_time_label(t)
             fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
             write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))
@@ -305,11 +305,7 @@ def cmd_reference(cfg: RunConfig, out_dir=None) -> RunReport:
     with timer("bands"):
         table = build_table(cfg, eps)
     with timer("initial"):
-        if cfg.initial_type == "gaussian-packet":
-            psi0, _ = build_initial_on(cfg, table, eps, n_x)
-        else:
-            psi0, _ = build_initial(cfg, table, eps)
-            psi0 = _trig_resample(psi0, n_x)
+        psi0 = _trig_resample(build_initial(cfg, table, eps, n_x)[0], n_x)
     rcfg = ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
                            dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
                            external=cfg.external(), t_final=cfg.t_final)
@@ -324,13 +320,6 @@ def cmd_reference(cfg: RunConfig, out_dir=None) -> RunReport:
     report.put("monitors", "norm_drift", abs(refs[cfg.t_final].norm() - norm0))
     _write_report(report, out, "reference")
     return report
-
-
-def build_initial_on(cfg: RunConfig, table: BandTable, eps: float, n_x: int):
-    field, p_used = gaussian_packet(cfg.dimension, eps, cfg.length, n_x,
-                                    q0=cfg.q0, p0=cfg.p0, width=cfg.width,
-                                    table=table, band=cfg.bands[0])
-    return field, p_used
 
 
 def _trig_resample(field: WaveField, n_x: int) -> WaveField:

@@ -168,6 +168,26 @@ def test_cmd_propagate_t0_equals_projection(config_file, tmp_path):
     assert l2_distance(fga0, proj)[0] <= 1e-10
 
 
+def test_cmd_propagate_reconstruction_residual(config_file):
+    """The residual reported once per run is that of a fresh reconstruction
+    over the propagated bands, bit for bit."""
+    from fgabloch.transform import phase_grid_for_field, reconstruct
+    from fgabloch.wavefield import l2_distance
+    path, _ = config_file
+    cfg = RunConfig.from_text(path.read_text())
+    cfg.t_final = 0.0
+    cfg.checkpoints = (0.0,)
+    cfg.bands = (1, 2)
+    cfg.gap_guard_factor = 0.0             # band 2 fails the guard; at T = 0 it is only summed
+    report = pipeline.cmd_propagate(cfg)
+    table = pipeline.build_table(cfg, cfg.eps)
+    psi0, _ = pipeline.build_initial(cfg, table, cfg.eps)
+    psg = phase_grid_for_field(psi0, table, c_g=cfg.c_g, r_c=cfg.r_c)
+    rec = reconstruct(psi0, table, cfg.bands, psg, r_c=cfg.r_c)
+    assert (report.get_float("monitors", "reconstruction_residual")
+            == l2_distance(rec, psi0)[0])
+
+
 def test_cmd_reference(config_file):
     path, out = config_file
     cfg = RunConfig.from_text(path.read_text())

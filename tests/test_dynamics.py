@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fgabloch.bloch import dispersion_model
-from fgabloch.dynamics import (HamiltonianModel, TrajectoryState, a0_rhs,
-                               action_rhs, flow_rhs, integrate_ensemble,
-                               jacobian_rhs, wrap_momentum, z_matrix)
+from fgabloch.dynamics import (N_STENCIL, HamiltonianModel, _rhs, integrate_ensemble,
+                               wrap_momentum, z_matrix)
 from fgabloch.errors import InvalidInputError, InvariantViolationError, NumericError
 from fgabloch.potentials import (cubic_potential, harmonic_potential,
                                  linear_potential, zero_potential)
@@ -21,17 +20,10 @@ class FlatDispersion:
     def __init__(self, slope=0.0):
         self.slope = slope
 
-    def energy(self, p):
-        return self.slope * p[:, 0]
-
-    def grad(self, p):
-        return np.full((p.shape[0], 1), self.slope)
-
-    def hess(self, p):
-        return np.zeros((p.shape[0], 1, 1))
-
-    def berry(self, p):
-        return np.zeros((p.shape[0], 1))
+    def query(self, p):
+        m = p.shape[0]
+        return (self.slope * p[:, 0], np.full((m, 1), self.slope),
+                np.zeros((m, 1, 1)), np.zeros((m, 1)))
 
     def hess_bound(self, p_lo=None, p_hi=None, pad=0.5):
         return 0.0
@@ -42,29 +34,32 @@ class FreeDispersion:
 
     dimension = 1
 
-    def energy(self, p):
-        return 0.5 * p[:, 0] ** 2
-
-    def grad(self, p):
-        return p.copy()
-
-    def hess(self, p):
-        return np.ones((p.shape[0], 1, 1))
-
-    def berry(self, p):
-        return np.zeros((p.shape[0], 1))
+    def query(self, p):
+        m = p.shape[0]
+        return 0.5 * p[:, 0] ** 2, p.copy(), np.ones((m, 1, 1)), np.zeros((m, 1))
 
     def hess_bound(self, p_lo=None, p_hi=None, pad=0.5):
         return 1.0
 
 
-def _state(q, p, t=0.0, F=None, S=0.0, a0=np.sqrt(2), a1=0.0):
-    d = 1
-    return TrajectoryState(t=t, Q=np.atleast_1d(float(q)), P=np.atleast_1d(float(p)),
-                           winding=np.zeros(d, int), S=S, F=np.eye(2) if F is None else F,
-                           a0=a0, a1=a1, seed_q=np.atleast_1d(float(q)),
-                           seed_p=np.atleast_1d(float(p)), seed_w=1.0,
-                           sympl_residual=0.0, sigma_min_z=SQRT2)
+class CountingDispersion(FreeDispersion):
+    """FreeDispersion that counts its queries; it has no other band accessor."""
+
+    def __init__(self):
+        self.queries = 0
+
+    def query(self, p):
+        self.queries += 1
+        return super().query(p)
+
+
+def _rhs_at(model, q, p, F=None, a0=np.sqrt(2)):
+    """(dQ, dP, dF, dS, da0) of the ensemble right-hand side for one trajectory."""
+    F = np.eye(2) if F is None else F
+    dQ, dP, dF, dS, dA0, _ = _rhs(model, np.full((1, 1, 1), float(q)),
+                                  np.full((1, 1, 1), float(p)), F[None, None],
+                                  np.array([a0], complex), np.zeros(1, complex))
+    return dQ[0, 0], dP[0, 0], dF[0, 0], dS[0], dA0[0]
 
 
 def _seed(qp_list, eps=1 / 64):
@@ -78,13 +73,13 @@ def _seed(qp_list, eps=1 / 64):
 
 def test_flow_rhs_free():
     model = HamiltonianModel(FreeDispersion(), zero_potential(1))
-    dq, dp = flow_rhs(_state(0.0, 0.5), model)
+    dq, dp = _rhs_at(model, 0.0, 0.5)[:2]
     assert dq[0] == pytest.approx(0.5) and dp[0] == 0.0
 
 
 def test_flow_rhs_harmonic():
     model = HamiltonianModel(FreeDispersion(), harmonic_potential(1, k=1.0))
-    dq, dp = flow_rhs(_state(1.0, 0.0), model)
+    dq, dp = _rhs_at(model, 1.0, 0.0)[:2]
     assert dq[0] == 0.0 and dp[0] == pytest.approx(-1.0)
 
 
@@ -92,24 +87,24 @@ def test_flow_rhs_cos_band(cos_table128):
     model = HamiltonianModel(dispersion_model(cos_table128, 1), zero_potential(1))
     j = int(np.argmin(np.abs(cos_table128.grid.axis_nodes - np.pi / 2)))
     xi = cos_table128.grid.axis_nodes[j]
-    dq, dp = flow_rhs(_state(0.0, xi), model)
+    dq, dp = _rhs_at(model, 0.0, xi)[:2]
     assert abs(dq[0] - cos_table128.grad_e[j, 0, 0]) < 1e-9
     assert dp[0] == 0.0
 
 
 def test_action_rhs_cases():
     free = HamiltonianModel(FreeDispersion(), zero_potential(1))
-    assert action_rhs(_state(0.0, 1.2), free) == pytest.approx(1.2 ** 2 / 2)
+    assert _rhs_at(free, 0.0, 1.2)[3] == pytest.approx(1.2 ** 2 / 2)
     harm = HamiltonianModel(FreeDispersion(), harmonic_potential(1, k=1.0))
     # grad_P h = 0 at p = 0: dS/dt = -h
-    assert action_rhs(_state(0.7, 0.0), harm) == pytest.approx(-0.5 * 0.49)
+    assert _rhs_at(harm, 0.7, 0.0)[3] == pytest.approx(-0.5 * 0.49)
     # harmonic at (1, 1): p^2 - h = 1 - 1 = 0
-    assert action_rhs(_state(1.0, 1.0), harm) == pytest.approx(0.0)
+    assert _rhs_at(harm, 1.0, 1.0)[3] == pytest.approx(0.0)
 
 
 def test_jacobian_rhs_structure():
     harm = HamiltonianModel(FreeDispersion(), harmonic_potential(1, k=1.0))
-    dF = jacobian_rhs(_state(0.3, 0.4), harm)
+    dF = _rhs_at(harm, 0.3, 0.4)[2]
     assert np.allclose(dF, np.array([[0.0, 1.0], [-1.0, 0.0]]) @ np.eye(2))
 
 
@@ -137,9 +132,24 @@ def test_a0_rhs_free_matches_closed_form():
     t = 0.4
     F = np.array([[1.0, t], [0.0, 1.0]])
     a0 = np.sqrt(2 - 1j * t)
-    got = a0_rhs(_state(0.0, 0.5, F=F, a0=a0), model)
+    got = _rhs_at(model, 0.0, 0.5, F=F, a0=a0)[4]
     expect = -1j * a0 / (2 * (2 - 1j * t))
     assert got == pytest.approx(expect, abs=1e-14)
+
+
+@pytest.mark.parametrize("enable_a1", [False, True])
+def test_rhs_makes_one_dispersion_query(enable_a1):
+    disp = CountingDispersion()
+    model = HamiltonianModel(disp, cubic_potential(a=1.0))
+    integrate_ensemble(_seed([(0.1, 0.5), (0.2, -0.3)]), model, T=0.01, dt=1e-3,
+                       enable_a1=enable_a1)
+    assert disp.queries == 4 * 10                   # RK4: four evaluations per step
+    disp.queries = 0
+    cores = N_STENCIL if enable_a1 else 1
+    _rhs(model, np.zeros((2, cores, 1)), np.zeros((2, cores, 1)),
+         np.broadcast_to(np.eye(2), (2, cores, 2, 2)), np.ones(2, complex),
+         np.zeros(2, complex), 0.01 if enable_a1 else None)
+    assert disp.queries == 1
 
 
 # --- ensembles ---------------------------------------------------------------
