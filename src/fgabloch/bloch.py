@@ -26,6 +26,7 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from .errors import (BandIsolationError, CutoffError, GaugeFixError,
                      InvalidInputError, NumericError)
 from .potentials import PeriodicPotential
+from .wavefield import mesh_points
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,16 +69,12 @@ class BrillouinGrid:
 
     def node_points(self) -> np.ndarray:
         """All nodes, shape (n_nodes, d), C-order over the axis grids."""
-        axes = [self.axis_nodes] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return mesh_points([self.axis_nodes] * self.dimension)
 
 
 def reciprocal_vectors(cutoff: int, dimension: int) -> np.ndarray:
     """Integer reciprocal vectors |k|_inf <= cutoff, shape (n_basis, d)."""
-    r = np.arange(-cutoff, cutoff + 1)
-    mesh = np.meshgrid(*([r] * dimension), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return mesh_points([np.arange(-cutoff, cutoff + 1)] * dimension)
 
 
 def _potential_matrix(potential: PeriodicPotential, cutoff: int):
@@ -416,20 +413,21 @@ def hessian_energy(table: BandTable) -> BandTable:
 
 
 def nearest_node(grid: BrillouinGrid, xi: np.ndarray):
-    """Nearest grid node to xi in Gamma*, allowing the +pi edge to wrap.
+    """Nearest grid node to each momentum xi in Gamma*, allowing the +pi edge to wrap.
 
-    Returns (multi_index tuple, wrap vector, node position).  wrap[a] = 1
-    means the nearest node is node 0 of axis a viewed at +pi (basis shift
-    applies there).
+    xi has shape (d,) or (n, d).  Returns (flat node index, wrap, node
+    position), the last two shaped like xi.  wrap[a] = 1 means the nearest
+    node is node 0 of axis a viewed at +pi (basis shift applies there): the
+    node position is then -pi, and xi - 2 pi wrap lies within half a grid
+    spacing of it.
     """
     xi = np.asarray(xi, dtype=float)
     M = grid.nodes_per_axis
-    pos = (xi + np.pi) / grid.spacing
-    m = np.rint(pos).astype(int)
+    m = np.rint((xi + np.pi) / grid.spacing).astype(int)
     wrap = (m == M).astype(int)
     idx = np.where(m == M, 0, m)
-    node_pos = -np.pi + grid.spacing * m
-    return tuple(idx), wrap, node_pos
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
+    return flat, wrap, -np.pi + grid.spacing * idx
 
 
 def band_eigvec_at(table: BandTable, n: int, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -442,8 +440,8 @@ def band_eigvec_at(table: BandTable, n: int, xi) -> tuple[np.ndarray, np.ndarray
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     nb1 = table.band_index(n)
-    idx, wrap, node_pos = nearest_node(table.grid, xi)
-    flat = int(np.ravel_multi_index(idx, table.grid.shape))
+    flat, wrap, node_pos = nearest_node(table.grid, xi)
+    node_pos = node_pos + TWO_PI * wrap
     c = table.coeffs[flat, nb1]
     for axis in range(table.grid.dimension):
         if wrap[axis]:
@@ -462,8 +460,12 @@ def evaluate_bloch_wave(table: BandTable, n: int, xi, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if table.grid.dimension == 1 and (x.ndim <= 1 or x.shape[-1] != 1):
         x = x[..., None]
-    phases = np.exp(2j * np.pi * (x @ table.kvecs().astype(float).T))
-    return phases @ c
+    return _plane_waves(table, x) @ c
+
+
+def _plane_waves(table: BandTable, x: np.ndarray) -> np.ndarray:
+    """exp(2 pi i k.x) for each point x (..., d) and basis vector k: (..., n_basis)."""
+    return np.exp(2j * np.pi * (x @ table.kvecs().astype(float).T))
 
 
 def band_isolation_check(table: BandTable, n: int, factor: float = 10.0):

@@ -20,8 +20,8 @@ from .dynamics import HamiltonianModel, integrate_ensemble
 from .errors import ConfigError, NumericError, ResourceLimitError
 from .reference import ReferenceConfig, reference_propagate
 from .synthesis import SynthesisPlan, initial_snapshot, multi_band_synthesize, synthesize
-from .transform import (band_projection, parseval_check, phase_grid_for_field,
-                        reconstruct, windowed_bloch_transform)
+from .transform import (_windowed_mass, band_projection, phase_grid_for_field,
+                        windowed_bloch_transform)
 from .wavefield import WaveField, gaussian_packet, l2_distance
 
 
@@ -186,11 +186,18 @@ def cmd_decompose(cfg: RunConfig, out_dir=None) -> RunReport:
     with timer("export"):
         for n, wc in coeffs.items():
             wc.export_csv(os.path.join(out, f"coeffs_band{n}.csv"))
+    # one transform per band serves the Parseval mass and the reconstruction
     with timer("parseval"):
-        norm2, mass = parseval_check(psi0, table, cfg.recon_bands, psg, r_c=cfg.r_c)
+        recon = {n: coeffs[n] if n in coeffs else
+                 windowed_bloch_transform(psi0, table, n, psg, r_c=cfg.r_c)
+                 for n in range(1, cfg.recon_bands + 1)}
+        norm2, mass = psi0.norm() ** 2, _windowed_mass(recon.values())
     with timer("reconstruction"):
-        rec = reconstruct(psi0, table, range(1, cfg.recon_bands + 1), psg, r_c=cfg.r_c)
-        resid, rel = l2_distance(rec, psi0)
+        rec = np.zeros_like(psi0.values)
+        for n, wc in recon.items():
+            rec = rec + band_projection(psi0, table, n, psg, r_c=cfg.r_c,
+                                        coefficients=wc).values
+        resid, rel = l2_distance(psi0.with_values(rec), psi0)
     report.put("monitors", "norm2", norm2)
     report.put("monitors", "windowed_mass", mass)
     report.put("monitors", "windowed_mass_ratio", mass / norm2)
@@ -265,7 +272,7 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                 plans.append(SynthesisPlan(table=table, band=n, seeds=seeds,
                                            snapshot=res.at(t), length=cfg.length,
                                            out_n_x=psi0.n_x, r_c=cfg.r_c))
-            fga, _ = multi_band_synthesize(plans)
+            fga = multi_band_synthesize(plans)
             label = _fga_time_label(t)
             fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
             write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))

@@ -16,9 +16,11 @@ the zone boundary, and this factor is exactly what keeps a0 * u smooth
 across it (the basis relabeling moves a plane wave from u into the Gaussian
 phase).
 
-Spatial work is restricted to each Gaussian's truncation window; windows are
-bucketed onto the output grid when narrower than the domain, otherwise the
-periodized image sum runs over the full grid.
+The Gaussian factors along each axis: every trajectory gets one truncated
+window per axis, on the grid points within r_c sqrt(eps) of Q, folded onto
+the axis when it is longer than the domain.  The product of a trajectory's
+windows is scattered onto the output grid with one bincount per chunk of
+trajectories, and each Brillouin node's sum is multiplied by its Bloch wave.
 """
 
 from __future__ import annotations
@@ -27,13 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandTable
+from .bloch import BandTable, nearest_node
 from .dynamics import EnsembleSnapshot, wrap_momentum
 from .errors import PlanError
-from .transform import SeedSet, _bloch_on_grid, _field_cells
-from .wavefield import WaveField, l2_distance  # noqa: F401  (re-exported)
+from .transform import SeedSet, _cell_bloch_values, _field_cells, _truncated_window
+from .wavefield import WaveField
 
 TWO_PI = 2.0 * np.pi
+# Trajectories scattered at once (the 1D chunk), fewer when their windows
+# would hold more than _SCATTER_ENTRIES grid points together.
+_TRAJ_CHUNK = 512
+_SCATTER_ENTRIES = 2 ** 22
 
 
 def initial_snapshot(seeds: SeedSet) -> EnsembleSnapshot:
@@ -86,21 +92,9 @@ def _node_assignments(plan: SynthesisPlan):
     is folded into the winding so that every trajectory references a stored
     node directly.
     """
-    g = plan.table.grid
-    M = g.nodes_per_axis
-    dxi = g.spacing
     p_w, winding = wrap_momentum(plan.snapshot.P)
-    m = np.rint((p_w + np.pi) / dxi).astype(int)         # 0..M per axis
-    edge = (m == M).astype(int)
-    node_idx = np.where(m == M, 0, m)
-    w_eff = winding + edge
-    p_rep = p_w - TWO_PI * edge
-    node_pos = -np.pi + dxi * node_idx
-    if g.dimension == 1:
-        flat = node_idx[:, 0]
-    else:
-        flat = node_idx[:, 0] * M + node_idx[:, 1]
-    return p_rep, w_eff, flat, node_pos
+    flat, edge, node_pos = nearest_node(plan.table.grid, p_w)
+    return p_w - TWO_PI * edge, winding + edge, flat, node_pos
 
 
 def _trajectory_coefficients(plan: SynthesisPlan, p_rep, w_eff, flat, node_pos):
@@ -121,88 +115,73 @@ def _trajectory_coefficients(plan: SynthesisPlan, p_rep, w_eff, flat, node_pos):
     return coef
 
 
-def _gauss_rows_full(x, Q, p_rep, eps, radius, length):
-    """Periodized truncated Gaussian rows over the whole axis grid: (n, n_x)."""
-    nmax = int(np.ceil(radius / length)) + 1
-    out = np.zeros((Q.shape[0], x.shape[0]), dtype=complex)
-    for nu in range(-nmax, nmax + 1):
-        rho = x[None, :] - Q[:, None] + nu * length
-        mask = np.abs(rho) <= radius
-        if not mask.any():
-            continue
-        z = np.where(mask, -rho ** 2 / (2 * eps) + 1j * p_rep[:, None] * rho / eps, 0.0)
-        out += np.where(mask, np.exp(z), 0.0)
-    return out
+def _scatter(idx: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
+    """Sum the complex values g into `size` bins by index."""
+    return (np.bincount(idx.ravel(), weights=g.real.ravel(), minlength=size)
+            + 1j * np.bincount(idx.ravel(), weights=g.imag.ravel(), minlength=size))
+
+
+def _axis_window(Q, p, offs, out: WaveField, radius: float):
+    """Each trajectory's truncated window along one axis: (grid indices, values).
+
+    The window covers the len(offs) grid points from the first one at or past
+    Q - radius.  One longer than the axis is folded onto it.
+    """
+    n_x, dx = out.n_x, out.dx
+    j0 = np.ceil((Q - radius) / dx).astype(int)
+    rho = (j0[:, None] + offs[None, :]) * dx - Q[:, None]
+    g = _truncated_window(rho, out.eps, radius, p[:, None])
+    idx = (j0[:, None] + offs[None, :]) % n_x
+    if offs.size > n_x:
+        rows = np.arange(Q.size)[:, None] * n_x
+        g = _scatter(rows + idx, g, Q.size * n_x).reshape(Q.size, n_x)
+        idx = np.broadcast_to(np.arange(n_x), g.shape)
+    return idx, g
 
 
 def synthesize(plan: SynthesisPlan) -> WaveField:
     """Evaluate one band's trajectory superposition on the output grid."""
     d = plan.table.grid.dimension
-    eps = plan.eps
-    L = plan.length
-    out = WaveField(dimension=d, eps=eps, length=L,
-                    values=np.zeros((plan.out_n_x,) * d, dtype=complex),
-                    time=plan.time)
+    n_x = plan.out_n_x
+    out = WaveField(dimension=d, eps=plan.eps, length=plan.length,
+                    values=np.zeros((n_x,) * d, dtype=complex), time=plan.time)
     if plan.seeds.count == 0:
         return out
     R, s = _field_cells(out)
-    radius = plan.r_c * np.sqrt(eps)
-    x = out.axis_points()
-    dx = out.dx
+    radius = plan.r_c * np.sqrt(plan.eps)
+    offs = np.arange(int(np.ceil(2 * radius / out.dx)) + 1)
+    chunk = max(1, min(_TRAJ_CHUNK, _SCATTER_ENTRIES // min(offs.size, n_x) ** d))
 
     p_rep, w_eff, flat, node_pos = _node_assignments(plan)
     coef = _trajectory_coefficients(plan, p_rep, w_eff, flat, node_pos)
     Q = plan.snapshot.Q
+    nodes = np.unique(flat)
+    cells = _cell_bloch_values(plan.table, plan.band, nodes, s)
 
-    vals = np.zeros((plan.out_n_x,) * d, dtype=complex)
-    window = 2 * radius < L - 2 * dx
-    for node in np.unique(flat):
+    vals = np.zeros(n_x ** d, dtype=complex)
+    for node, cell in zip(nodes, cells):
         sel = np.nonzero(flat == node)[0]
-        u = _bloch_on_grid(plan.table, plan.band, int(node), plan.out_n_x, s)
-        if d == 1:
-            acc = np.zeros(plan.out_n_x, dtype=complex)
-            if window:
-                w_pts = int(np.ceil(2 * radius / dx)) + 1
-                offs = np.arange(w_pts)
-                for chunk in np.array_split(sel, max(1, sel.size // 512)):
-                    j0 = np.ceil((Q[chunk, 0] - radius) / dx).astype(int)
-                    xg = (j0[:, None] + offs[None, :]) * dx
-                    rho = xg - Q[chunk, 0][:, None]
-                    z = -rho ** 2 / (2 * eps) + 1j * p_rep[chunk, 0][:, None] * rho / eps
-                    g = np.exp(z) * (np.abs(rho) <= radius)
-                    g *= coef[chunk][:, None]
-                    idx = (j0[:, None] + offs[None, :]) % plan.out_n_x
-                    acc += (np.bincount(idx.ravel(), weights=g.real.ravel(),
-                                        minlength=plan.out_n_x)
-                            + 1j * np.bincount(idx.ravel(), weights=g.imag.ravel(),
-                                               minlength=plan.out_n_x))
-            else:
-                for chunk in np.array_split(sel, max(1, sel.size // 256)):
-                    rows = _gauss_rows_full(x, Q[chunk, 0], p_rep[chunk, 0],
-                                            eps, radius, L)
-                    acc += coef[chunk] @ rows
-            vals += acc * u
-        else:
-            g0 = _gauss_rows_full(x, Q[sel, 0], p_rep[sel, 0], eps, radius, L)
-            g1 = _gauss_rows_full(x, Q[sel, 1], p_rep[sel, 1], eps, radius, L)
-            vals += np.einsum("i,ix,iy->xy", coef[sel], g0, g1) * u
-    return out.with_values(vals)
+        acc = np.zeros(n_x ** d, dtype=complex)
+        for part in np.array_split(sel, max(1, sel.size // chunk)):
+            idx, g = _axis_window(Q[part, 0], p_rep[part, 0], offs, out, radius)
+            for a in range(1, d):
+                ia, ga = _axis_window(Q[part, a], p_rep[part, a], offs, out, radius)
+                idx = (idx[:, :, None] * n_x + ia[:, None, :]).reshape(part.size, -1)
+                g = (g[:, :, None] * ga[:, None, :]).reshape(part.size, -1)
+            acc += _scatter(idx, g * coef[part][:, None], n_x ** d)
+        vals += acc * np.tile(cell, (R,) * d).ravel()
+    return out.with_values(vals.reshape((n_x,) * d))
 
 
-def multi_band_synthesize(plans, psi0: WaveField = None, grid=None, r_c: float = 8.0):
-    """Pointwise sum of per-band syntheses, plus the band-truncation residual.
+def multi_band_synthesize(plans) -> WaveField:
+    """Pointwise sum of per-band syntheses.
 
-    Returns (field, residual) with residual = ||psi0 - sum_n Pi_n psi0||_2
-    when psi0 and a phase-space grid are supplied (the band-truncation part
-    of the multi-band error), NaN otherwise.  All plans must share time,
-    epsilon and output grid.
+    All plans must share time, epsilon and output grid; an empty plan list
+    is refused.
     """
     plans = list(plans)
     if not plans:
-        if psi0 is None:
-            raise PlanError("no synthesis plans and no reference field given")
-        zero = psi0.with_values(np.zeros_like(psi0.values))
-        return zero, psi0.norm()
+        raise PlanError("no synthesis plans given")
     t0, eps0 = plans[0].time, plans[0].eps
     nx0, L0 = plans[0].out_n_x, plans[0].length
     for p in plans[1:]:
@@ -214,10 +193,4 @@ def multi_band_synthesize(plans, psi0: WaveField = None, grid=None, r_c: float =
     for p in plans:
         f = synthesize(p)
         total = f if total is None else total.with_values(total.values + f.values)
-
-    residual = float("nan")
-    if psi0 is not None and grid is not None:
-        from .transform import reconstruct
-        rec = reconstruct(psi0, plans[0].table, [p.band for p in plans], grid, r_c)
-        residual, _ = l2_distance(rec, psi0)
-    return total, residual
+    return total

@@ -14,6 +14,13 @@ accurate for smooth periodic integrands).  Gaussians are truncated at radius
 r_c sqrt(eps) and periodized over torus images, which keeps the discrete
 reconstruction identity exact on the torus.  The p-grid coincides with the
 Brillouin grid nodes, so Bloch waves are never interpolated in p here.
+
+One path serves every dimension: the window factors along each axis, and
+its periodized, truncated blocks are contracted axis by axis with the flat
+p-node axis last (the band operator applies the same contraction
+transposed).  Bloch cell values of all requested nodes come from one
+plane-wave matrix.  p-nodes go in chunks of _CHUNK_ENTRIES p-node/grid-point
+pairs at most, which bounds the memory in 2d.
 """
 
 from __future__ import annotations
@@ -22,13 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BandTable, band_isolation_check
+from .bloch import BandTable, _plane_waves, band_isolation_check
 from .errors import (InvalidInputError, QuadratureRiskError, ResolutionError)
-from .wavefield import WaveField
+from .wavefield import WaveField, mesh_points
 
 DEFAULT_CG = 0.5
 DEFAULT_RC = 8.0
 DEFAULT_SEED_THRESHOLD = 1e-8
+# p-node x grid-point pairs the transform and band operator hold at once; the
+# shipped 1D configs fit in one chunk (at most 2^20 pairs, on the reference grid)
+_CHUNK_ENTRIES = 2 ** 20
 
 
 def gaussian_eval(q, p, eps: float, x) -> np.ndarray:
@@ -80,9 +90,6 @@ class PhaseSpaceGrid:
     def dp(self) -> float:
         return 2 * np.pi / self.p_nodes_per_axis
 
-    def q_axis(self) -> np.ndarray:
-        return self.q_start[0] + self.dq * np.arange(self.n_q)
-
     def q_axes(self) -> list:
         return [self.q_start[a] + self.dq * np.arange(self.n_q)
                 for a in range(self.dimension)]
@@ -114,11 +121,8 @@ class WindowedCoefficients:
     def to_seeds(self, threshold: float = DEFAULT_SEED_THRESHOLD) -> "SeedSet":
         """Flatten to (q, p, w) triplets, dropping |w| < threshold * max|w|."""
         d = self.grid.dimension
-        qax = self.grid.q_axes()
-        pax = [self.grid.p_axis()] * d
-        mesh = np.meshgrid(*qax, *pax, indexing="ij")
-        q = np.stack([m.ravel() for m in mesh[:d]], axis=-1)
-        p = np.stack([m.ravel() for m in mesh[d:]], axis=-1)
+        qp = mesh_points(self.grid.q_axes() + [self.grid.p_axis()] * d)
+        q, p = qp[:, :d], qp[:, d:]
         w = self.values.ravel()
         keep = np.abs(w) >= threshold * np.max(np.abs(w)) if w.size else np.array([], bool)
         return SeedSet(band=self.band, eps=self.eps, q=q[keep], p=p[keep], w=w[keep],
@@ -171,43 +175,27 @@ def _norm_const(dimension: int, eps: float) -> float:
     return 2.0 ** (dimension / 4.0) / (2 * np.pi * eps) ** (3 * dimension / 4.0)
 
 
-def _cell_bloch_values(table: BandTable, n: int, flat_node: int, s: int) -> np.ndarray:
-    """u_n(p_node, y) on one lattice cell sampled at s points per axis."""
+def _cell_bloch_values(table: BandTable, n: int, nodes, s: int) -> np.ndarray:
+    """u_n(p_node, y) for the flat Brillouin nodes `nodes` (index array or
+    slice), on one lattice cell sampled at s points per axis: (k,) + (s,)*d."""
     d = table.grid.dimension
-    c = table.coeffs[flat_node, table.band_index(n)]
-    kvecs = table.kvecs()
-    ax = np.arange(s) / s
-    if d == 1:
-        phases = np.exp(2j * np.pi * np.outer(ax, kvecs[:, 0]))
-        return phases @ c
-    mesh = np.meshgrid(ax, ax, indexing="ij")
-    out = np.zeros((s, s), dtype=complex)
-    for coeff, k in zip(c, kvecs):
-        if coeff == 0:
-            continue
-        out += coeff * np.exp(2j * np.pi * (k[0] * mesh[0] + k[1] * mesh[1]))
-    return out
+    phases = _plane_waves(table, mesh_points([np.arange(s) / s] * d))
+    coeffs = table.coeffs[nodes, table.band_index(n)]
+    return np.stack([phases @ c for c in coeffs]).reshape((len(coeffs),) + (s,) * d)
 
 
-def _bloch_on_grid(table: BandTable, n: int, flat_node: int, n_x: int, s: int) -> np.ndarray:
-    """u_n(p_node, x/eps) on the full x-grid: the cell values tiled."""
-    cell = _cell_bloch_values(table, n, flat_node, s)
-    reps = n_x // s
-    if table.grid.dimension == 1:
-        return np.tile(cell, reps)
-    return np.tile(cell, (reps, reps))
-
-
-def _p_flat_nodes(table: BandTable, grid: PhaseSpaceGrid):
-    """Flat Brillouin node index for every p-node of the phase-space grid."""
+def _p_nodes(table: BandTable, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Positions (P, d) of the p-nodes; p-node j is flat Brillouin node j."""
     if grid.p_nodes_per_axis != table.grid.nodes_per_axis:
         raise InvalidInputError(
             "phase-space p-grid must coincide with the Brillouin grid nodes")
-    M = table.grid.nodes_per_axis
-    if table.grid.dimension == 1:
-        return np.arange(M)
-    j0, j1 = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    return (j0 * M + j1).ravel()
+    return table.grid.node_points()
+
+
+def _p_chunks(n_p: int, n_points: int):
+    """Slices of the p-nodes holding at most _CHUNK_ENTRIES p-node/grid-point pairs."""
+    step = max(1, _CHUNK_ENTRIES // n_points)
+    return [slice(j, j + step) for j in range(0, n_p, step)]
 
 
 def _image_shifts(length: float, radius: float) -> np.ndarray:
@@ -215,14 +203,42 @@ def _image_shifts(length: float, radius: float) -> np.ndarray:
     return np.arange(-nmax, nmax + 1) * length
 
 
-def _gauss_block(x: np.ndarray, q: np.ndarray, eps: float, radius: float,
-                 shift: float) -> np.ndarray:
-    """exp(-rho^2 / 2 eps) with rho = x - q + shift, truncated at |rho| <= radius."""
-    rho = x[None, :] - q[:, None] + shift
-    out = np.zeros_like(rho)
-    mask = np.abs(rho) <= radius
-    out[mask] = np.exp(-rho[mask] ** 2 / (2 * eps))
-    return out
+def _truncated_window(rho, eps: float, radius: float, p=None) -> np.ndarray:
+    """exp(-rho^2 / 2 eps + i p rho / eps) for |rho| <= radius, 0 beyond.
+
+    Without p the window is real (the momentum phase is applied elsewhere).
+    """
+    z = -rho ** 2 / (2 * eps)
+    if p is not None:
+        z = z + 1j * p * rho / eps
+    return np.exp(z) * (np.abs(rho) <= radius)
+
+
+def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.ndarray,
+                   radius: float, adjoint: bool) -> np.ndarray:
+    """Contract the leading d axes of t (flat p-node axis last) with the
+    periodized window, one axis at a time.
+
+    The window of axis a is a sum of blocks, one per torus image `shift`,
+    block[i, j] = truncated window at rho = x_j - q_i + shift (x: the axis of
+    `on`), each with the phase exp(-+ i p_a shift / eps).  The transform maps
+    x to q (adjoint False); the band operator maps q to x.  Blocks are built
+    one at a time, so at most one is held.
+    """
+    x, eps = on.axis_points(), on.eps
+    sign = 1j if adjoint else -1j
+    for a, q in enumerate(grid.q_axes()):
+        moved = np.moveaxis(t, a, 0)
+        flat = moved.reshape(moved.shape[0], -1)
+        acc = np.zeros(((x if adjoint else q).size,) + moved.shape[1:], dtype=complex)
+        for shift in _image_shifts(on.length, radius):
+            block = _truncated_window(x[None, :] - q[:, None] + shift, eps, radius)
+            if not block.any():
+                continue
+            b = block.T if adjoint else block
+            acc += (b @ flat).reshape(acc.shape) * np.exp(sign * p[:, a] * shift / eps)
+        t = np.moveaxis(acc, 0, a)
+    return t
 
 
 def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
@@ -241,54 +257,21 @@ def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
     R, s = _field_cells(field)
     d = field.dimension
     eps = field.eps
-    radius = r_c * np.sqrt(eps)
-    shifts = _image_shifts(field.length, radius)
+    p = _p_nodes(table, grid)
+    x = field.grid_points()
+    q = mesh_points(grid.q_axes())
+    psi = field.values.ravel()
     const = _norm_const(d, eps)
-    p_flat = _p_flat_nodes(table, grid)
-    x = field.axis_points()
-    dx = field.dx
-
-    if d == 1:
-        p = grid.p_axis()
-        q = grid.q_axis()
-        u = np.empty((p.size, field.n_x), dtype=complex)
-        for jp, node in enumerate(p_flat):
-            u[jp] = _bloch_on_grid(table, n, int(node), field.n_x, s)
-        theta = (np.conj(u) * np.exp(-1j * np.outer(p, x) / eps)
-                 * field.values[None, :]).T * dx
-        acc = np.zeros((q.size, p.size), dtype=complex)
-        for shift in shifts:
-            block = _gauss_block(x, q, eps, radius, shift)
-            if not block.any():
-                continue
-            acc += (block @ theta) * np.exp(-1j * p * shift / eps)[None, :]
-        w = const * np.exp(1j * np.outer(q, p) / eps) * acc
-        w = w.reshape((q.size, p.size))
-        vals = w.reshape((grid.n_q,) + (grid.p_nodes_per_axis,))
-    else:
-        qax = grid.q_axes()
-        pax = grid.p_axis()
-        M = grid.p_nodes_per_axis
-        vals = np.zeros((grid.n_q, grid.n_q, M, M), dtype=complex)
-        psi = field.values
-        for jp, node in enumerate(p_flat):
-            j0, j1 = jp // M, jp % M
-            pvec = np.array([pax[j0], pax[j1]])
-            u = _bloch_on_grid(table, n, int(node), field.n_x, s)
-            thet = np.conj(u) * psi * dx ** 2
-            thet = thet * np.exp(-1j * (pvec[0] * x[:, None] + pvec[1] * x[None, :]) / eps)
-            acc = np.zeros((grid.n_q, grid.n_q), dtype=complex)
-            for s0 in shifts:
-                b0 = _gauss_block(x, qax[0], eps, radius, s0)
-                if not b0.any():
-                    continue
-                for s1 in shifts:
-                    b1 = _gauss_block(x, qax[1], eps, radius, s1)
-                    if not b1.any():
-                        continue
-                    acc += (b0 @ thet @ b1.T) * np.exp(-1j * (pvec[0] * s0 + pvec[1] * s1) / eps)
-            qphase = np.exp(1j * (np.add.outer(qax[0] * pvec[0], qax[1] * pvec[1])) / eps)
-            vals[:, :, j0, j1] = const * qphase * acc
+    vals = np.empty((q.shape[0], p.shape[0]), dtype=complex)
+    for sl in _p_chunks(p.shape[0], psi.size):
+        pc = p[sl]
+        cells = _cell_bloch_values(table, n, sl, s)
+        u = np.tile(cells, (1,) + (R,) * d).reshape(cells.shape[0], -1)
+        theta = (np.conj(u) * np.exp(-1j * (pc @ x.T) / eps) * psi[None, :]).T * field.dx ** d
+        acc = _apply_windows(theta.reshape((field.n_x,) * d + (-1,)), field, grid, pc,
+                             r_c * np.sqrt(eps), False)
+        vals[:, sl] = const * np.exp(1j * (q @ pc.T) / eps) * acc.reshape(q.shape[0], -1)
+    vals = vals.reshape((grid.n_q,) * d + (grid.p_nodes_per_axis,) * d)
     return WindowedCoefficients(band=n, grid=grid, values=vals, eps=eps)
 
 
@@ -304,58 +287,28 @@ def band_projection(field: WaveField, table: BandTable, n: int, grid: PhaseSpace
     """
     if coefficients is None:
         coefficients = windowed_bloch_transform(field, table, n, grid, r_c)
-    w = coefficients.values
     d = field.dimension
     eps = field.eps
     n_out = out_n_x or field.n_x
     out_field = WaveField(dimension=d, eps=eps, length=field.length,
                           values=np.zeros((n_out,) * d, dtype=complex), time=field.time)
     R, s = _field_cells(out_field)
-    radius = r_c * np.sqrt(eps)
-    shifts = _image_shifts(field.length, radius)
-    const = _norm_const(d, eps)
-    p_flat = _p_flat_nodes(table, grid)
-    y = out_field.axis_points()
-
-    if d == 1:
-        p = grid.p_axis()
-        q = grid.q_axis()
-        wq = w.reshape(q.size, p.size) * np.exp(-1j * np.outer(q, p) / eps)
-        acc = np.zeros((n_out, p.size), dtype=complex)
-        for shift in shifts:
-            block = _gauss_block(y, q, eps, radius, shift)
-            if not block.any():
-                continue
-            acc += (block.T @ wq) * np.exp(1j * p * shift / eps)[None, :]
-        u = np.empty((p.size, n_out), dtype=complex)
-        for jp, node in enumerate(p_flat):
-            u[jp] = _bloch_on_grid(table, n, int(node), n_out, s)
-        total = np.sum(u.T * np.exp(1j * np.outer(y, p) / eps) * acc, axis=1)
-        vals = const * grid.weight * total
-    else:
-        qax = grid.q_axes()
-        pax = grid.p_axis()
-        M = grid.p_nodes_per_axis
-        vals = np.zeros((n_out, n_out), dtype=complex)
-        for jp, node in enumerate(p_flat):
-            j0, j1 = jp // M, jp % M
-            pvec = np.array([pax[j0], pax[j1]])
-            qphase = np.exp(-1j * (np.add.outer(qax[0] * pvec[0], qax[1] * pvec[1])) / eps)
-            wq = w[:, :, j0, j1] * qphase
-            acc = np.zeros((n_out, n_out), dtype=complex)
-            for s0 in shifts:
-                b0 = _gauss_block(y, qax[0], eps, radius, s0)
-                if not b0.any():
-                    continue
-                for s1 in shifts:
-                    b1 = _gauss_block(y, qax[1], eps, radius, s1)
-                    if not b1.any():
-                        continue
-                    acc += (b0.T @ wq @ b1) * np.exp(1j * (pvec[0] * s0 + pvec[1] * s1) / eps)
-            u = _bloch_on_grid(table, n, int(node), n_out, s)
-            vals += u * np.exp(1j * (pvec[0] * y[:, None] + pvec[1] * y[None, :]) / eps) * acc
-        vals *= const * grid.weight
-    return out_field.with_values(vals)
+    p = _p_nodes(table, grid)
+    y = out_field.grid_points()
+    q = mesh_points(grid.q_axes())
+    w = coefficients.values.reshape(q.shape[0], p.shape[0])
+    total = np.zeros(y.shape[0], dtype=complex)
+    for sl in _p_chunks(p.shape[0], y.shape[0]):
+        pc = p[sl]
+        wq = w[:, sl] * np.exp(-1j * (q @ pc.T) / eps)
+        acc = _apply_windows(wq.reshape((grid.n_q,) * d + (-1,)), out_field, grid, pc,
+                             r_c * np.sqrt(eps), True)
+        cells = _cell_bloch_values(table, n, sl, s)
+        u = np.tile(cells, (1,) + (R,) * d).reshape(cells.shape[0], -1)
+        total += np.sum(u.T * np.exp(1j * (y @ pc.T) / eps) * acc.reshape(y.shape[0], -1),
+                        axis=1)
+    vals = _norm_const(d, eps) * grid.weight * total
+    return out_field.with_values(vals.reshape((n_out,) * d))
 
 
 def reconstruct(field: WaveField, table: BandTable, bands, grid: PhaseSpaceGrid,
@@ -456,8 +409,7 @@ def bloch_transform(field: WaveField, table: BandTable, n_bands: int):
     # map m -> position in fft array
     pos = {int(m): i for i, m in enumerate(freqs)}
 
-    mesh = np.meshgrid(*([r_ints] * d), indexing="ij")
-    fibers = np.stack([m.ravel() for m in mesh], axis=-1)     # (R^d, d)
+    fibers = mesh_points([r_ints] * d)     # (R^d, d)
     coef = np.zeros((n_bands, fibers.shape[0]), dtype=complex)
     scale = (eps / (2 * np.pi)) ** (d / 2.0) * R ** d
     idx_diag = np.arange(nb)
@@ -486,9 +438,13 @@ def parseval_check(field: WaveField, table: BandTable, n_bands: int,
     so the ratio approaches 1 from below as the band set grows; it is
     reported, not asserted.
     """
-    norm2 = field.norm() ** 2
+    return field.norm() ** 2, _windowed_mass(
+        windowed_bloch_transform(field, table, n, grid, r_c) for n in range(1, n_bands + 1))
+
+
+def _windowed_mass(coefficients) -> float:
+    """sum ||w_n||^2 dq^d dp^d over the given bands' coefficients, in order."""
     mass = 0.0
-    for n in range(1, n_bands + 1):
-        w = windowed_bloch_transform(field, table, n, grid, r_c)
-        mass += float(np.sum(np.abs(w.values) ** 2)) * grid.weight
-    return norm2, mass
+    for w in coefficients:
+        mass += float(np.sum(np.abs(w.values) ** 2)) * w.grid.weight
+    return mass

@@ -18,6 +18,12 @@ from .errors import GridMismatchError, InvalidInputError
 MAGIC = b"FGAWF1"
 
 
+def mesh_points(axes) -> np.ndarray:
+    """Points of the tensor grid over `axes`, shape (prod of sizes, d), C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def _check_int_ratio(L: float, eps: float):
     ratio = L / eps
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -62,9 +68,7 @@ class WaveField:
 
     def grid_points(self) -> np.ndarray:
         """All sample locations, shape (n_x^d, d)."""
-        ax = self.axis_points()
-        mesh = np.meshgrid(*([ax] * self.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return mesh_points([self.axis_points()] * self.dimension)
 
     def norm(self) -> float:
         """L2 norm by the rectangle rule."""
@@ -144,9 +148,7 @@ def gaussian_packet(dimension: int, eps: float, length: float, n_x: int,
     bloch = 1.0
     if table is not None:
         from .bloch import nearest_node
-        idx, wrap, node_pos = nearest_node(table.grid, p0)
-        p_used = np.where(wrap == 1, -np.pi, node_pos)  # wrapped representative
-        flat = int(np.ravel_multi_index(idx, table.grid.shape))
+        flat, _, p_used = nearest_node(table.grid, p0)
         coeffs = table.coeffs[flat, table.band_index(band)]
         kvecs = table.kvecs().astype(float)
         bloch = np.zeros(shape, dtype=complex)

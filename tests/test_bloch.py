@@ -4,7 +4,8 @@ import pytest
 from fgabloch.bloch import (BrillouinGrid, assemble_bloch_hamiltonian,
                             band_isolation_check, berry_connection, dispersion_model,
                             evaluate_bloch_wave, fix_gauge, grad_energy, hessian_energy,
-                            prepare_band_table, shift_coefficients, solve_bands)
+                            nearest_node, prepare_band_table, shift_coefficients,
+                            solve_bands)
 from fgabloch.errors import BandIsolationError, CutoffError, GaugeFixError
 from fgabloch.potentials import PeriodicPotential
 
@@ -255,6 +256,22 @@ def test_hessian_vs_second_difference_oracle(cos_table64):
 
 
 # --- bloch wave evaluation ------------------------------------------------
+
+def test_nearest_node_batched_and_edge_wrap():
+    """(n, d) momenta snap row by row to flat C-order node indices; the +pi
+    edge wraps to node 0 at -pi."""
+    grid = BrillouinGrid(2, 8)
+    h = grid.spacing
+    xi = np.array([[-np.pi, -np.pi], [0.4 * h - np.pi, 2.6 * h - np.pi],
+                   [np.pi - 0.2 * h, 0.1], [1.0, np.pi - 0.4 * h]])
+    flat, wrap, pos = nearest_node(grid, xi)
+    assert flat.tolist() == [0, 3, 0 * 8 + 4, 5 * 8 + 0]
+    assert wrap.tolist() == [[0, 0], [0, 0], [1, 0], [0, 1]]
+    assert np.array_equal(pos, grid.node_points()[flat])
+    assert np.all(np.abs(xi - TWO_PI * wrap - pos) <= h / 2)
+    for row, f in zip(xi, flat):
+        assert nearest_node(grid, row)[0] == f
+
 
 def test_evaluate_free_modulus_one(free_table128):
     x = np.linspace(0, 1, 13)

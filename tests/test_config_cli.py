@@ -129,6 +129,35 @@ def test_cmd_decompose(config_file):
     assert seeds < total
 
 
+def test_cmd_decompose_transforms_each_band_once(config_file, monkeypatch):
+    """bands = 1, recon_bands = 4: four windowed transforms serve the export,
+    the Parseval mass and the reconstruction, and the reported mass and
+    residual are those of parseval_check and reconstruct, bit for bit."""
+    from fgabloch import transform
+    from fgabloch.wavefield import l2_distance
+    path, _ = config_file
+    cfg = RunConfig.from_text(path.read_text())
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    real = transform.windowed_bloch_transform
+    monkeypatch.setattr(pipeline, "windowed_bloch_transform", counting)
+    monkeypatch.setattr(transform, "windowed_bloch_transform", counting)
+    report = pipeline.cmd_decompose(cfg)
+    assert sorted(calls) == [1, 2, 3, 4]
+    monkeypatch.undo()
+    table = pipeline.build_table(cfg, cfg.eps)
+    psi0, _ = pipeline.build_initial(cfg, table, cfg.eps)
+    psg = transform.phase_grid_for_field(psi0, table, c_g=cfg.c_g, r_c=cfg.r_c)
+    _, mass = transform.parseval_check(psi0, table, 4, psg, r_c=cfg.r_c)
+    rec = transform.reconstruct(psi0, table, range(1, 5), psg, r_c=cfg.r_c)
+    assert report.get_float("monitors", "windowed_mass") == mass
+    assert report.get_float("monitors", "reconstruction_residual") == l2_distance(rec, psi0)[0]
+
+
 def test_cmd_propagate_and_reports(config_file):
     path, out = config_file
     cfg = RunConfig.from_text(path.read_text())

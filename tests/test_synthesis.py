@@ -13,8 +13,8 @@ from fgabloch.potentials import (PeriodicPotential, harmonic_potential,
 from fgabloch.reference import ReferenceConfig, reference_propagate
 from fgabloch.synthesis import (SynthesisPlan, initial_snapshot,
                                 multi_band_synthesize, synthesize)
-from fgabloch.transform import (SeedSet, band_projection, phase_grid_for_field,
-                                reconstruct, windowed_bloch_transform)
+from fgabloch.transform import (PhaseSpaceGrid, SeedSet, band_projection,
+                                phase_grid_for_field, reconstruct, windowed_bloch_transform)
 from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance
 
 
@@ -25,16 +25,31 @@ def _normalized_packet(table, eps, L, n_x, q0, p0, width=1.0, band=1):
     return raw.with_values(raw.values / nrm), p_used, nrm
 
 
-def test_t0_synthesis_equals_band_operator(free_table128):
-    eps, L = 1 / 64, 2.0
-    n_x = int(L / eps) * 16
-    psi0, _, _ = _normalized_packet(free_table128, eps, L, n_x, 1.0, 0.5)
-    psg = phase_grid_for_field(psi0, free_table128)
-    wc = windowed_bloch_transform(psi0, free_table128, 1, psg)
-    proj = band_projection(psi0, free_table128, 1, psg, coefficients=wc)
+@pytest.mark.parametrize("case", ["wide-1d", "narrow-1d", "2d"])
+def test_t0_synthesis_equals_band_operator(case, free_table128):
+    """Unthresholded seeds at t = 0 synthesize the band operator: with a
+    window wider than the domain (folded), narrower than it, and in 2d."""
+    r_c = 8.0
+    if case == "2d":
+        eps, L, r_c = 1 / 4, 2.0, 6.0
+        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
+        n_x = int(L / eps) * 8
+        psi0, _ = gaussian_packet(2, eps, L, n_x, q0=[1.0, 0.7], p0=[0.3, -0.2],
+                                  table=table, band=1)
+        psg = PhaseSpaceGrid(dimension=2, eps=eps, q_start=[0.0, 0.0], dq=0.25, n_q=8,
+                             p_nodes_per_axis=8, c_g=1.6, length=L, q_full_circle=True)
+    else:
+        table = free_table128
+        eps, L = (1 / 64, 2.0) if case == "wide-1d" else (1 / 32, 4.0)
+        n_x = int(L / eps) * 16
+        psi0, _, _ = _normalized_packet(table, eps, L, n_x, L / 2, 0.5)
+        psg = phase_grid_for_field(psi0, table)
+    assert (2 * r_c * np.sqrt(eps) >= L) == (case != "narrow-1d")
+    wc = windowed_bloch_transform(psi0, table, 1, psg, r_c=r_c)
+    proj = band_projection(psi0, table, 1, psg, r_c=r_c, coefficients=wc)
     seeds = wc.to_seeds(0.0)
-    plan = SynthesisPlan(table=free_table128, band=1, seeds=seeds,
-                         snapshot=initial_snapshot(seeds), length=L, out_n_x=n_x)
+    plan = SynthesisPlan(table=table, band=1, seeds=seeds, snapshot=initial_snapshot(seeds),
+                         length=L, out_n_x=n_x, r_c=r_c)
     f0 = synthesize(plan)
     assert l2_distance(f0, proj)[0] <= 1e-10
 
@@ -123,6 +138,8 @@ def test_plan_validation(cos_table128):
         p2 = SynthesisPlan(table=cos_table128, band=2, seeds=seeds,
                            snapshot=replace(snap, t=0.5), length=1.0, out_n_x=256)
         multi_band_synthesize([p1, p2])
+    with pytest.raises(PlanError):
+        multi_band_synthesize([])
 
 
 def test_multi_band_reduces_to_single(cos_table128):
@@ -135,19 +152,8 @@ def test_multi_band_reduces_to_single(cos_table128):
     plan = SynthesisPlan(table=cos_table128, band=1, seeds=seeds,
                          snapshot=initial_snapshot(seeds), length=L, out_n_x=n_x)
     single = synthesize(plan)
-    total, resid = multi_band_synthesize([plan], psi0=psi0, grid=psg)
+    total = multi_band_synthesize([plan])
     assert np.array_equal(total.values, single.values)
-    assert resid == pytest.approx(l2_distance(band_projection(
-        psi0, cos_table128, 1, psg, coefficients=wc), psi0)[0], rel=1e-9)
-
-
-def test_multi_band_zero_bands(cos_table128):
-    eps, L = 1 / 32, 1.0
-    n_x = int(L / eps) * 16
-    psi0, _, _ = _normalized_packet(cos_table128, eps, L, n_x, 0.5, 0.8)
-    total, resid = multi_band_synthesize([], psi0=psi0)
-    assert np.all(total.values == 0)
-    assert resid == pytest.approx(psi0.norm())
 
 
 def test_edge_packet_residual_decreases_with_bands(cos_table128):

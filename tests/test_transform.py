@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from fgabloch.bloch import BrillouinGrid, prepare_band_table
+from fgabloch.bloch import BrillouinGrid, evaluate_bloch_wave, prepare_band_table
 from fgabloch.errors import QuadratureRiskError, ResolutionError
 from fgabloch.potentials import PeriodicPotential
-from fgabloch.transform import (PhaseSpaceGrid, band_projection, bloch_transform,
-                                gaussian_eval, parseval_check, phase_grid_for_field,
-                                reconstruct, windowed_bloch_transform)
-from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance
+from fgabloch.transform import (PhaseSpaceGrid, _cell_bloch_values, _truncated_window,
+                                band_projection, bloch_transform, gaussian_eval,
+                                parseval_check, phase_grid_for_field, reconstruct,
+                                windowed_bloch_transform)
+from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance, mesh_points
 
 
 def _packet(table, eps=1 / 32, L=1.0, q0=0.5, p0=0.8, s=16, band=1, width=1.0):
@@ -33,6 +34,19 @@ def test_gaussian_eval_one_sigma():
 def test_gaussian_eval_explicit_point():
     val = gaussian_eval([0.0], [1.0], 0.01, np.array([0.1]))[0]
     assert val == pytest.approx(np.exp(-0.5) * np.exp(10j), abs=1e-12)
+
+
+def test_truncated_window_is_gaussian_eval_inside_radius():
+    eps, q, p = 1 / 32, 0.3, 1.7
+    radius = 8 * np.sqrt(eps)
+    x = np.linspace(q - 1.5 * radius, q + 1.5 * radius, 601)
+    inside = np.abs(x - q) <= radius
+    assert inside.any() and not inside.all()
+    for mom in (p, None):
+        got = _truncated_window(x - q, eps, radius, mom)
+        ref = gaussian_eval([q], [mom or 0.0], eps, x)
+        assert np.abs(got[inside] - ref[inside]).max() <= 1e-12
+        assert np.all(got[~inside] == 0)
 
 
 # --- windowed transform -----------------------------------------------------
@@ -233,7 +247,7 @@ def test_windowed_mass_ratio_vs_dense_oracle(cos_potential):
 
 # --- 2d smoke ----------------------------------------------------------------
 
-def test_2d_transform_projection_consistency():
+def test_2d_transform_projection_consistency(rng):
     eps, L = 1 / 4, 2.0
     table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
     n_x = int(L / eps) * 8
@@ -242,9 +256,29 @@ def test_2d_transform_projection_consistency():
                           p_nodes_per_axis=8, c_g=1.6, length=L, q_full_circle=True)
     w = windowed_bloch_transform(psi0, table, 1, grid, r_c=6.0)
     assert np.all(np.isfinite(w.values))
-    # adjoint duality in 2d
-    out = band_projection(psi0, table, 1, grid, r_c=6.0, coefficients=w)
-    assert out.values.shape == psi0.values.shape
+    # adjoint duality in 2d: <Pi f, g> = <f, Pi g>
+    g = psi0.with_values(rng.normal(size=(n_x, n_x)) + 1j * rng.normal(size=(n_x, n_x)))
+    pf = band_projection(psi0, table, 1, grid, r_c=6.0, coefficients=w)
+    pg = band_projection(g, table, 1, grid, r_c=6.0)
+    assert pf.values.shape == psi0.values.shape
+    lhs = np.vdot(pf.values, g.values)
+    rhs = np.vdot(psi0.values, pg.values)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cell_bloch_values_match_evaluate_bloch_wave(dimension):
+    """The transform's Bloch cell values at Brillouin nodes are the Bloch waves."""
+    table = prepare_band_table(BrillouinGrid(dimension, 8),
+                               PeriodicPotential.cosine(dimension, 0.5), 2, 3)
+    s = 8
+    nodes = np.array([0, 3, table.grid.n_nodes - 1])
+    cells = _cell_bloch_values(table, 2, nodes, s)
+    assert cells.shape == (3,) + (s,) * dimension
+    y = mesh_points([np.arange(s) / s] * dimension)
+    for node, cell in zip(nodes, cells):
+        ref = evaluate_bloch_wave(table, 2, table.grid.node_points()[node], y)
+        assert np.abs(cell.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_reconstruction_worst_case_momentum():
