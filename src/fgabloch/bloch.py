@@ -5,6 +5,11 @@ basis over a uniform Brillouin-zone grid, fixes a parallel-transport gauge,
 and exports band energies, group velocities, band curvatures and the Berry
 connection as smooth periodic interpolants.
 
+Every cell Hamiltonian is assembled by `_cell_hamiltonians` and solved by
+`_cell_eigensolve`, batched over an array of momenta: the band table, the
+finite-difference gradient check and the torus Bloch transform
+(transform.bloch_transform) all go through it.
+
 Conventions
 -----------
 * Unit cell [0, 1)^d, Brillouin zone Gamma* = [-pi, pi)^d treated as a torus.
@@ -36,6 +41,8 @@ DEGENERACY_TOL = 1e-8
 FD_GAP_EXCLUDE = 0.05
 # minimum admissible parallel-transport overlap
 MIN_OVERLAP = 0.1
+# matrix entries (momenta x n_basis^2) one batched eigensolve holds at once
+_EIG_CHUNK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,9 @@ def reciprocal_vectors(cutoff: int, dimension: int) -> np.ndarray:
 
 def _potential_matrix(potential: PeriodicPotential, cutoff: int):
     """Galerkin matrix of V in the plane-wave basis; real dtype when possible."""
+    if cutoff < potential.cutoff:
+        raise CutoffError(
+            f"cutoff K={cutoff} below potential support K_V={potential.cutoff}")
     d = potential.dimension
     kvecs = reciprocal_vectors(cutoff, d)
     box = np.zeros((4 * cutoff + 1,) * d, dtype=complex)
@@ -97,17 +107,48 @@ def assemble_bloch_hamiltonian(xi, potential: PeriodicPotential, cutoff: int) ->
     Entry (k, k') is |2*pi*k + xi|^2/2 on the diagonal plus V_{k-k'}.
     """
     potential.validate()
-    if cutoff < potential.cutoff:
-        raise CutoffError(
-            f"cutoff K={cutoff} below potential support K_V={potential.cutoff}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (potential.dimension,):
         raise InvalidInputError(f"xi must have shape ({potential.dimension},)")
-    kvecs, vmat = _potential_matrix(potential, cutoff)
-    kin = 0.5 * np.sum((TWO_PI * kvecs + xi) ** 2, axis=1)
-    h = vmat.astype(complex, copy=True)
-    h[np.diag_indices_from(h)] += kin
+    h = _cell_hamiltonians(*_potential_matrix(potential, cutoff), xi[None])
+    return h[0].astype(complex)
+
+
+def _cell_hamiltonians(kvecs: np.ndarray, vmat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """H(xi) for each momentum xi (m, d): (m, n_basis, n_basis), dtype of vmat."""
+    kin = 0.5 * np.sum((TWO_PI * kvecs[None, :, :] + xi[:, None, :]) ** 2, axis=2)
+    h = np.repeat(vmat[None, :, :], xi.shape[0], axis=0)
+    idx = np.arange(kvecs.shape[0])
+    h[:, idx, idx] += kin
     return h
+
+
+def _cell_eigensolve(potential: PeriodicPotential, cutoff: int, xi: np.ndarray,
+                     n_values: int, n_vectors: int = 0):
+    """Lowest eigenpairs of the cell Hamiltonian at each momentum xi (m, d).
+
+    Returns (values (m, n_values), vectors (m, n_vectors, n_basis) complex,
+    or None when n_vectors is 0).  The matrix is real when V is, and the
+    momenta go in chunks of about _EIG_CHUNK_ENTRIES matrix entries.
+    """
+    kvecs, vmat = _potential_matrix(potential, cutoff)
+    nb, m = kvecs.shape[0], xi.shape[0]
+    values = np.empty((m, n_values))
+    vectors = np.empty((m, n_vectors, nb), dtype=complex) if n_vectors else None
+    solver = np.linalg.eigh if n_vectors else np.linalg.eigvalsh
+    chunk = max(1, _EIG_CHUNK_ENTRIES // (nb * nb))
+    for start in range(0, m, chunk):
+        sl = slice(start, min(start + chunk, m))
+        try:
+            res = solver(_cell_hamiltonians(kvecs, vmat, xi[sl]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"eigensolver failed on momenta {start}..{sl.stop - 1}: {exc}") from exc
+        if n_vectors:
+            res, evecs = res
+            vectors[sl] = np.swapaxes(evecs[:, :, :n_vectors], 1, 2)
+        values[sl] = res[:, :n_values]
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -130,7 +171,6 @@ class BandTable:
     min_gap_xi: np.ndarray          # (n_bands, d) location of the minimum
     usable: np.ndarray              # (n_bands,) bool, False when the band touches a neighbor
     gauge_fixed: bool = False
-    continuity_tol: float = 0.15
     holonomy: np.ndarray | None = None        # (n_bands, d)
     berry: np.ndarray | None = None           # (n_nodes, n_bands, d)
     berry_im_diag: float | None = None
@@ -160,42 +200,18 @@ def solve_bands(grid: BrillouinGrid, potential: PeriodicPotential, n_bands: int,
     """Lowest n_bands eigenpairs of the cell Hamiltonian at every grid node."""
     if potential.dimension != grid.dimension:
         raise InvalidInputError("potential and grid dimensions differ")
-    if cutoff < potential.cutoff:
-        raise CutoffError(
-            f"cutoff K={cutoff} below potential support K_V={potential.cutoff}")
     nb = (2 * cutoff + 1) ** grid.dimension
     if n_bands > nb:
         raise InvalidInputError(f"n_bands={n_bands} exceeds basis size {nb}")
 
-    kvecs, vmat = _potential_matrix(potential, cutoff)
     nodes = grid.node_points()
     n_nodes = nodes.shape[0]
     n_keep = min(n_bands + 1, nb)   # one extra band for the gap above band n_bands
-
-    energies = np.empty((n_nodes, n_keep))
-    coeffs = np.empty((n_nodes, n_bands, nb), dtype=complex)
-
-    chunk = max(1, int(2e6 / (nb * nb)))
-    for start in range(0, n_nodes, chunk):
-        sl = slice(start, min(start + chunk, n_nodes))
-        kin = 0.5 * np.sum((TWO_PI * kvecs[None, :, :] + nodes[sl, None, :]) ** 2, axis=2)
-        h = np.repeat(vmat[None, :, :], kin.shape[0], axis=0)
-        idx = np.arange(nb)
-        h[:, idx, idx] += kin
-        try:
-            evals, evecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"eigensolver failed on nodes {start}..{sl.stop - 1}: {exc}") from exc
-        energies[sl] = evals[:, :n_keep]
-        coeffs[sl] = np.swapaxes(evecs[:, :, :n_bands], 1, 2)
+    energies, coeffs = _cell_eigensolve(potential, cutoff, nodes, n_keep, n_bands)
 
     band_e = energies[:, :n_bands]
     gap_up = np.full((n_nodes, n_bands), np.inf)
-    if n_keep > n_bands:
-        gap_up[:, : n_keep - 1] = energies[:, 1:n_keep] - energies[:, : n_keep - 1]
-    else:
-        gap_up[:, :-1] = energies[:, 1:n_bands] - energies[:, : n_bands - 1]
+    gap_up[:, : n_keep - 1] = np.diff(energies, axis=1)
     gap_down = np.full((n_nodes, n_bands), np.inf)
     gap_down[:, 1:] = band_e[:, 1:] - band_e[:, :-1]
     nodal_gap = np.minimum(gap_up, gap_down)
@@ -272,29 +288,24 @@ def fix_gauge(table: BandTable, strict_bands=None) -> BandTable:
         phase = np.where(mag > 1e-300, ov / np.where(mag > 1e-300, mag, 1.0), 1.0)
         nxt *= np.conj(phase)[..., None]
 
-    if d == 1:
+    def line(axis, j, lead):
+        """Axis `axis` at index j, index 0 on later axes, `lead` on earlier ones."""
+        return (lead,) * axis + (j,) + (0,) * (d - axis - 1)
+
+    # axis a sweeps along index 0 of every later axis, across all earlier axes
+    for axis in range(d):
         for j in range(1, M):
-            sweep(c[j - 1], c[j], f"xi index {j}")
-    else:
-        for j in range(1, M):
-            sweep(c[j - 1, 0], c[j, 0], f"xi index ({j},0)")
-        for j in range(1, M):
-            sweep(c[:, j - 1], c[:, j], f"xi column {j}")
+            sweep(c[line(axis, j - 1, slice(None))], c[line(axis, j, slice(None))],
+                  f"xi index {j} of axis {axis}")
 
     holonomy = np.zeros((N, d))
-    flat = c.reshape((-1, N, table.n_basis))
+    first = c[(0,) * d]
     for axis in range(d):
-        if d == 1:
-            last, first = c[M - 1], c[0]
-        elif axis == 0:
-            last, first = c[M - 1, 0], c[0, 0]
-        else:
-            last, first = c[0, M - 1], c[0, 0]
         closure = shift_coefficients(first, axis, table.cutoff, d)
-        ov = np.sum(np.conj(last) * closure, axis=-1)
+        ov = np.sum(np.conj(c[line(axis, M - 1, 0)]) * closure, axis=-1)
         holonomy[:, axis] = -np.angle(ov)
 
-    return replace(table, coeffs=flat.reshape(table.coeffs.shape), gauge_fixed=True,
+    return replace(table, coeffs=c.reshape(table.coeffs.shape), gauge_fixed=True,
                    holonomy=holonomy, usable=smooth)
 
 
@@ -352,22 +363,12 @@ def _gradient_identity(table: BandTable) -> np.ndarray:
 
 def _fd_gradient_samples(table: BandTable, nodes: np.ndarray, h: float = 1e-3):
     """5-point finite difference of freshly solved eigenvalues at given nodes."""
-    d = table.grid.dimension
-    kvecs, vmat = _potential_matrix(table.potential, table.cutoff)
-    nb = kvecs.shape[0]
-    out = np.empty((nodes.shape[0], table.n_bands, d))
-    idx = np.arange(nb)
-    for axis in range(d):
-        shifts = np.array([-2, -1, 1, 2]) * h
-        pts = nodes[:, None, :] + shifts[None, :, None] * np.eye(d)[axis]
-        pts = pts.reshape(-1, d)
-        kin = 0.5 * np.sum((TWO_PI * kvecs[None, :, :] + pts[:, None, :]) ** 2, axis=2)
-        ham = np.repeat(vmat[None, :, :], pts.shape[0], axis=0).astype(complex)
-        ham[:, idx, idx] += kin
-        evals = np.linalg.eigvalsh(ham)[:, :table.n_bands]
-        e = evals.reshape(nodes.shape[0], 4, table.n_bands)
-        out[:, :, axis] = (e[:, 0] - 8 * e[:, 1] + 8 * e[:, 2] - e[:, 3]) / (12 * h)
-    return out
+    s, d, N = nodes.shape[0], table.grid.dimension, table.n_bands
+    steps = np.array([-2, -1, 1, 2])[:, None, None] * h * np.eye(d)     # (4, axis, d)
+    pts = (nodes[:, None, None, :] + steps).reshape(-1, d)
+    e, _ = _cell_eigensolve(table.potential, table.cutoff, pts, N)
+    e = e.reshape(s, 4, d, N)
+    return np.swapaxes((e[:, 0] - 8 * e[:, 1] + 8 * e[:, 2] - e[:, 3]) / (12 * h), 1, 2)
 
 
 def grad_energy(table: BandTable, check_sample: int = 256) -> BandTable:
@@ -498,10 +499,8 @@ class DispersionModel:
     The four node fields are stacked into one interpolant, so `query`
     returns all of them from a single evaluation.  Queries accept shape
     (m, d) (or (m,) when d == 1) and wrap into Gamma*.  Interpolation is
-    cubic and periodic; order recorded in `interpolation_order`.
+    cubic and periodic.
     """
-
-    interpolation_order = "cubic-periodic"
 
     def __init__(self, table: BandTable, n: int):
         if table.grad_e is None or table.hess_e is None or table.berry is None:

@@ -2,7 +2,7 @@
 
 Commands: bands, decompose, propagate, reference, convergence, report.
 Shared flags: --config PATH, --set section.key=value (repeatable),
---threads N, --out DIR.
+--out DIR.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or invariant
 failure, 4 resource refusal.
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override a config value, e.g. numerics.dt=5e-4")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the numeric kernels")
         p.add_argument("--out", default=None, help="output directory")
     p = sub.add_parser("report", help="validate and summarize a run report")
     p.add_argument("path", help="report file to read")
@@ -62,22 +60,9 @@ def _load_config(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg.apply_overrides(args.set)
-    if args.threads is not None:
-        cfg.threads = args.threads
-        cfg.validate()
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
-
-
-def _thread_limit(n: int):
-    """Best-effort BLAS worker cap; returns a context manager."""
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=n)
-    except Exception:
-        import contextlib
-        return contextlib.nullcontext()
 
 
 def _cmd_report(args) -> int:
@@ -104,8 +89,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         cfg = _load_config(args)
-        with _thread_limit(cfg.threads):
-            report = _COMMANDS[args.command](cfg)
+        report = _COMMANDS[args.command](cfg)
         status = report.sections.get("errors", {}).get("status")
         if status == "FAIL":
             print(f"{args.command}: FAIL (see report)", file=sys.stderr)

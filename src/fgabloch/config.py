@@ -105,7 +105,6 @@ class RunConfig:
     checkpoints: tuple = ()          # empty -> {0, T/2, T}
     out_dir: str = "out"
     compare_reference: bool = False
-    threads: int = 1
     # [tolerances]
     gap_guard_factor: float = 10.0
     mem_limit_gb: float = 2.0
@@ -172,8 +171,6 @@ class RunConfig:
             raise ConfigError("requested band exceeds n_bands")
         if self.recon_bands < 0 or self.recon_bands > self.n_bands:
             raise ConfigError("recon_bands outside 0..n_bands")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.mem_limit_gb <= 0:
             raise ConfigError("mem_limit_gb must be positive")
         for t in self.checkpoints:
@@ -196,7 +193,7 @@ class RunConfig:
                     ("width", float), ("initial_file", str)],
         "run": [("length", float), ("t_final", float), ("bands", "ints"),
                 ("recon_bands", int), ("checkpoints", "floats"), ("out_dir", str),
-                ("compare_reference", bool), ("threads", int)],
+                ("compare_reference", bool)],
         "tolerances": [("gap_guard_factor", float), ("mem_limit_gb", float),
                        ("floor_tol", float)],
     }

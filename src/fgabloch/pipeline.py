@@ -125,7 +125,6 @@ def _new_report(cfg: RunConfig, command: str) -> RunReport:
     report = RunReport()
     report.put("meta", "command", command)
     report.put("meta", "package", "fgabloch")
-    report.put("meta", "threads", cfg.threads)
     report.embed_config(cfg)
     return report
 

@@ -7,7 +7,8 @@ Implements, on discrete periodic fields:
   with c_w = 2^{d/4} (2 pi eps)^{-3d/4},
 * its adjoint (band operator) whose band sum reconstructs the identity,
 * a non-windowed Bloch transform on the finite torus whose Parseval identity
-  is exact, used as the band-truncation diagnostic.
+  is exact, used as the band-truncation diagnostic; its fibers are solved by
+  the band engine's batched cell eigensolver.
 
 Quadrature is the rectangle rule on the uniform periodic x-grid (spectrally
 accurate for smooth periodic integrands).  Gaussians are truncated at radius
@@ -29,13 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BandTable, _plane_waves, band_isolation_check
+from .bloch import BandTable, _cell_eigensolve, _plane_waves
 from .errors import (InvalidInputError, QuadratureRiskError, ResolutionError)
 from .wavefield import WaveField, mesh_points
 
 DEFAULT_CG = 0.5
 DEFAULT_RC = 8.0
 DEFAULT_SEED_THRESHOLD = 1e-8
+# fraction of max|psi| below which phase_grid_for_field treats psi as absent
+SUPPORT_THRESHOLD = 1e-8
 # p-node x grid-point pairs the transform and band operator hold at once; the
 # shipped 1D configs fit in one chunk (at most 2^20 pairs, on the reference grid)
 _CHUNK_ENTRIES = 2 ** 20
@@ -70,8 +73,6 @@ class PhaseSpaceGrid:
     n_q: int                 # nodes per axis
     p_nodes_per_axis: int
     c_g: float = DEFAULT_CG
-    q_full_circle: bool = False
-    length: float = 0.0      # torus size (needed when q_full_circle)
 
     def __post_init__(self):
         object.__setattr__(self, "q_start",
@@ -242,18 +243,16 @@ def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.nda
 
 
 def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
-                             grid: PhaseSpaceGrid, r_c: float = DEFAULT_RC,
-                             isolation_factor: float = 0.0) -> WindowedCoefficients:
+                             grid: PhaseSpaceGrid,
+                             r_c: float = DEFAULT_RC) -> WindowedCoefficients:
     """Windowed Bloch coefficients of one band on the phase-space grid.
 
     The x-integral is the rectangle rule over the periodic grid with the
     Gaussian window truncated at radius r_c sqrt(eps) and periodized over
-    torus images.  `isolation_factor` > 0 applies the band-gap guard first.
+    torus images.
     """
     if abs(field.eps - grid.eps) > 1e-15:
         raise InvalidInputError("field and phase-space grid eps differ")
-    if isolation_factor > 0:
-        band_isolation_check(table, n, isolation_factor)
     R, s = _field_cells(field)
     d = field.dimension
     eps = field.eps
@@ -321,11 +320,10 @@ def reconstruct(field: WaveField, table: BandTable, bands, grid: PhaseSpaceGrid,
 
 
 def phase_grid_for_field(field: WaveField, table: BandTable, c_g: float = DEFAULT_CG,
-                         r_c: float = DEFAULT_RC,
-                         support_threshold: float = 1e-8) -> PhaseSpaceGrid:
+                         r_c: float = DEFAULT_RC) -> PhaseSpaceGrid:
     """Phase-space grid adapted to the field's support.
 
-    q-box: support of |psi| thresholded at `support_threshold` of its max,
+    q-box: support of |psi| thresholded at SUPPORT_THRESHOLD of its max,
     padded by 2 sqrt(eps) r_c per side and clamped to one torus period;
     p: the full Brillouin grid of the table.
     """
@@ -336,7 +334,7 @@ def phase_grid_for_field(field: WaveField, table: BandTable, c_g: float = DEFAUL
     pad = 2 * np.sqrt(eps) * r_c
 
     absv = np.abs(field.values)
-    mask = absv >= support_threshold * absv.max()
+    mask = absv >= SUPPORT_THRESHOLD * absv.max()
     n_x = field.n_x
     dx = field.dx
 
@@ -371,63 +369,43 @@ def phase_grid_for_field(field: WaveField, table: BandTable, c_g: float = DEFAUL
         dq = L / n_q
         return PhaseSpaceGrid(dimension=d, eps=eps, q_start=np.zeros(d), dq=dq,
                               n_q=n_q, p_nodes_per_axis=table.grid.nodes_per_axis,
-                              c_g=c_g, q_full_circle=True, length=L)
+                              c_g=c_g)
     n_q = max(2, int(np.ceil(width / dq_target)) + 1)
     dq = width / (n_q - 1)
     centers = np.array(los) + np.array(widths) / 2
     q_start = centers - width / 2
     return PhaseSpaceGrid(dimension=d, eps=eps, q_start=q_start, dq=dq,
                           n_q=n_q, p_nodes_per_axis=table.grid.nodes_per_axis,
-                          c_g=c_g, length=L)
+                          c_g=c_g)
 
 
 def bloch_transform(field: WaveField, table: BandTable, n_bands: int):
     """Non-windowed Bloch transform on the finite torus.
 
     Returns (coefficients, xis): coefficients has shape (n_bands, R^d) over
-    the R^d crystal momenta the torus supports, scaled so that
+    the R^d crystal momenta xi = 2 pi r / R the torus supports, r in
+    [-R/2, R/2)^d in C order, scaled so that
     sum_{n,r} |coef|^2 (2 pi / R)^d  equals ||psi||^2 when summed over a
-    complete band set.  Fresh eigensolves at each fiber momentum; no gauge
-    dependence enters |coef|.
+    complete band set.  Fiber r gathers the Fourier modes m = r + k R of psi
+    for the plane-wave basis k with one index array; a mode outside the FFT
+    bins is absent, so each fiber holds at most s modes per axis (s samples
+    per cell) of its (2K+1) slots.  All fibers are solved afresh in one
+    batched eigensolve; no gauge dependence enters |coef|.
     """
-    from .bloch import _potential_matrix
-
-    R, s = _field_cells(field)
-    d = field.dimension
-    eps = field.eps
-    kvecs, vmat = _potential_matrix(table.potential, table.cutoff)
-    nb = kvecs.shape[0]
-    if n_bands > nb:
+    R, _ = _field_cells(field)
+    d, n_x = field.dimension, field.n_x
+    kvecs = table.kvecs()
+    if n_bands > kvecs.shape[0]:
         raise InvalidInputError("n_bands exceeds basis size")
-
-    c = np.fft.fftn(field.values) / field.n_x ** d
-    freqs = np.fft.fftfreq(field.n_x, d=1.0 / field.n_x).astype(int)   # integers m
-    r_ints = np.arange(R)
-    r_wrapped = (r_ints + R // 2) % R - R // 2      # representative in [-R/2, R/2)
-    xis = 2 * np.pi * r_wrapped / R                  # in [-pi, pi)
-
-    # map m -> position in fft array
-    pos = {int(m): i for i, m in enumerate(freqs)}
-
-    fibers = mesh_points([r_ints] * d)     # (R^d, d)
-    coef = np.zeros((n_bands, fibers.shape[0]), dtype=complex)
-    scale = (eps / (2 * np.pi)) ** (d / 2.0) * R ** d
-    idx_diag = np.arange(nb)
-
-    for fi, rvec in enumerate(fibers):
-        xi = np.array([xis[r] for r in rvec])
-        kin = 0.5 * np.sum((2 * np.pi * kvecs + xi) ** 2, axis=1)
-        ham = vmat.astype(complex, copy=True)
-        ham[idx_diag, idx_diag] += kin
-        _, vecs = np.linalg.eigh(ham)
-        v = np.zeros(nb, dtype=complex)
-        for ki, k in enumerate(kvecs):
-            m = tuple(int(r_wrapped[rvec[a]]) + int(k[a]) * R for a in range(d))
-            if all(mm in pos for mm in m):
-                v[ki] = c[tuple(pos[mm] for mm in m)]
-        coef[:, fi] = scale * (np.conj(vecs[:, :n_bands]).T @ v)
-    xi_points = np.stack([np.array([xis[r] for r in rvec]) for rvec in fibers])
-    return coef, xi_points
+    fibers = mesh_points([np.arange(R) - R // 2] * d)            # (R^d, d)
+    m = fibers[:, None, :] + R * kvecs[None, :, :]               # (R^d, n_basis, d)
+    present = np.all((m >= -(n_x // 2)) & (m < n_x - n_x // 2), axis=-1)
+    c = np.fft.fftn(field.values) / n_x ** d
+    v = c[tuple(np.moveaxis(m % n_x, -1, 0))] * present
+    xis = 2 * np.pi * fibers / R
+    _, vecs = _cell_eigensolve(table.potential, table.cutoff, xis, n_bands, n_bands)
+    scale = (field.eps / (2 * np.pi)) ** (d / 2.0) * R ** d
+    return scale * np.einsum("fnk,fk->nf", np.conj(vecs), v), xis
 
 
 def parseval_check(field: WaveField, table: BandTable, n_bands: int,

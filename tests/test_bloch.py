@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,20 @@ def test_grad_identity_vs_refined_fd(cos_table64):
     # module invariant: identity-vs-FD agreement at 1e-6 relative (M=64, K=16)
     scale = 1 + np.max(np.abs(t.grad_e))
     assert t.grad_fd_discrepancy <= 1e-6 * scale
+
+
+def test_grad_energy_peak_memory_2d():
+    """The finite-difference check of a 2D cosine table (M = 32, K = 3, the
+    separable-2d table) solves its shifted Hamiltonians in bounded chunks:
+    grad_energy's traced peak stays at or below 40 MB."""
+    t = fix_gauge(solve_bands(BrillouinGrid(2, 32), PeriodicPotential.cosine(2), 1, 3))
+    tracemalloc.start()
+    try:
+        grad_energy(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_hessian_free_interior_identity(free_table128):

@@ -269,6 +269,19 @@ def test_cli_success_and_exit_codes(config_file, tmp_path, capsys):
     assert code == 4
 
 
+def test_cli_thread_settings_are_configuration_errors(config_file):
+    """BLAS threads are set in the environment: a `threads` key in the file or
+    in --set, and a --threads flag, all exit with the configuration code 2."""
+    path, _ = config_file
+    assert main(["bands", "--config", str(path), "--set", "run.threads=1"]) == 2
+    path.write_text(path.read_text().replace("[run]\n", "[run]\nthreads = 1\n"))
+    assert "threads = 1" in path.read_text()
+    assert main(["bands", "--config", str(path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--config", str(path), "--threads", "1"])
+    assert exc.value.code == 2
+
+
 def test_cli_report_command(config_file, capsys):
     path, out = config_file
     assert main(["bands", "--config", str(path)]) == 0
@@ -279,9 +292,9 @@ def test_cli_report_command(config_file, capsys):
 
 def test_cli_propagate_deterministic(config_file):
     path, out = config_file
-    assert main(["propagate", "--config", str(path), "--threads", "1"]) == 0
+    assert main(["propagate", "--config", str(path)]) == 0
     first = (out / "psi_fga_t0p2.wf").read_bytes()
-    assert main(["propagate", "--config", str(path), "--threads", "1"]) == 0
+    assert main(["propagate", "--config", str(path)]) == 0
     assert (out / "psi_fga_t0p2.wf").read_bytes() == first
 
 

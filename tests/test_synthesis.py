@@ -37,7 +37,7 @@ def test_t0_synthesis_equals_band_operator(case, free_table128):
         psi0, _ = gaussian_packet(2, eps, L, n_x, q0=[1.0, 0.7], p0=[0.3, -0.2],
                                   table=table, band=1)
         psg = PhaseSpaceGrid(dimension=2, eps=eps, q_start=[0.0, 0.0], dq=0.25, n_q=8,
-                             p_nodes_per_axis=8, c_g=1.6, length=L, q_full_circle=True)
+                             p_nodes_per_axis=8, c_g=1.6)
     else:
         table = free_table128
         eps, L = (1 / 64, 2.0) if case == "wide-1d" else (1 / 32, 4.0)

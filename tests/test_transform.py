@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fgabloch.bloch import BrillouinGrid, evaluate_bloch_wave, prepare_band_table
+from fgabloch.bloch import (BrillouinGrid, assemble_bloch_hamiltonian,
+                            evaluate_bloch_wave, prepare_band_table, solve_bands)
 from fgabloch.errors import QuadratureRiskError, ResolutionError
 from fgabloch.potentials import PeriodicPotential
 from fgabloch.transform import (PhaseSpaceGrid, _cell_bloch_values, _truncated_window,
@@ -55,7 +56,7 @@ def test_zero_field_zero_coefficients(cos_table128):
     eps, L = 1 / 32, 1.0
     f = WaveField(1, eps, L, np.zeros(int(L / eps) * 16, complex), 0.0)
     grid = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=0.05, n_q=10,
-                          p_nodes_per_axis=128, length=L, q_full_circle=False)
+                          p_nodes_per_axis=128)
     w = windowed_bloch_transform(f, cos_table128, 1, grid)
     assert np.all(w.values == 0)
 
@@ -114,7 +115,7 @@ def test_resolution_error(cos_table128):
     eps, L = 1 / 32, 1.0
     f = WaveField(1, eps, L, np.zeros(int(L / eps) * 4, complex), 0.0)   # 4 pts/cell
     grid = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=0.05, n_q=4,
-                          p_nodes_per_axis=128, length=L)
+                          p_nodes_per_axis=128)
     with pytest.raises(ResolutionError):
         windowed_bloch_transform(f, cos_table128, 1, grid)
 
@@ -122,10 +123,10 @@ def test_resolution_error(cos_table128):
 def test_quadrature_risk_error():
     with pytest.raises(QuadratureRiskError):
         PhaseSpaceGrid(dimension=1, eps=1 / 64, q_start=[0.0], dq=0.2, n_q=4,
-                       p_nodes_per_axis=64, length=1.0)
+                       p_nodes_per_axis=64)
     with pytest.raises(QuadratureRiskError):
         PhaseSpaceGrid(dimension=1, eps=1 / 64, q_start=[0.0], dq=0.05, n_q=4,
-                       p_nodes_per_axis=32, length=1.0)   # dp too big
+                       p_nodes_per_axis=32)   # dp too big
 
 
 # --- band projection ---------------------------------------------------------
@@ -134,7 +135,7 @@ def test_projection_of_zero(cos_table128):
     eps, L = 1 / 32, 1.0
     f = WaveField(1, eps, L, np.zeros(int(L / eps) * 16, complex), 0.0)
     grid = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=0.05, n_q=10,
-                          p_nodes_per_axis=128, length=L)
+                          p_nodes_per_axis=128)
     out = band_projection(f, cos_table128, 1, grid)
     assert np.all(out.values == 0)
 
@@ -195,7 +196,7 @@ def test_shift_covariance_free_case(free_table128):
     n_q = 16
     assert n_x % n_q == 0
     grid = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=L / n_q, n_q=n_q,
-                          p_nodes_per_axis=128, length=L, q_full_circle=True)
+                          p_nodes_per_axis=128)
     w0 = windowed_bloch_transform(f, free_table128, 1, grid)
     shift_cells = n_x // n_q           # one q spacing
     f2 = f.with_values(np.roll(f.values, shift_cells))
@@ -211,19 +212,68 @@ def test_parseval_zero_field(cos_table128):
     eps, L = 1 / 32, 1.0
     f = WaveField(1, eps, L, np.zeros(int(L / eps) * 16, complex), 0.0)
     grid = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=0.05, n_q=8,
-                          p_nodes_per_axis=128, length=L)
+                          p_nodes_per_axis=128)
     n2, mass = parseval_check(f, cos_table128, 2, grid)
     assert n2 == 0.0 and mass == 0.0
 
 
-def test_bloch_transform_parseval(cos_table128):
-    """Non-windowed Bloch Parseval identity on the finite torus (<= 1e-6)."""
-    psi0, _ = _packet(cos_table128)
-    coef, xis = bloch_transform(psi0, cos_table128, 8)
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_bloch_transform_parseval(dimension, cos_table128, rng):
+    """Non-windowed Bloch Parseval identity on the finite torus: <= 1e-6 for a
+    1D packet over 8 bands; to rounding for a random 2D field over the
+    complete basis (K >= s/2 covers every FFT bin, every band kept)."""
+    if dimension == 1:
+        psi0, _ = _packet(cos_table128)
+        table, n_bands, tol = cos_table128, 8, 1e-6
+    else:
+        eps, L, s, K = 1 / 4, 1.0, 8, 4
+        table = solve_bands(BrillouinGrid(2, 4), PeriodicPotential.cosine(2), 1, K)
+        n_x = int(L / eps) * s
+        psi0 = WaveField(2, eps, L, rng.normal(size=(n_x, n_x))
+                         + 1j * rng.normal(size=(n_x, n_x)))
+        n_bands, tol = (2 * K + 1) ** 2, 1e-10
+    coef, xis = bloch_transform(psi0, table, n_bands)
     r = psi0.cells
-    total = np.sum(np.abs(coef) ** 2) * (2 * np.pi / r)
+    assert coef.shape == (n_bands, r ** dimension) and xis.shape == (r ** dimension, dimension)
+    total = np.sum(np.abs(coef) ** 2) * (2 * np.pi / r) ** dimension
     n2 = psi0.norm() ** 2
-    assert abs(total - n2) <= 1e-6 * n2
+    assert abs(total - n2) <= tol * n2
+
+
+def test_bloch_transform_matches_per_fiber_loop(cos_potential, rng):
+    """Reference: one eigensolve per fiber and a per-mode lookup of the FFT
+    bins, on a random field.  Bands 1-3 of the cosine lattice are simple at
+    every fiber, so |coef| agrees whatever phase each solver picks."""
+    eps, L, K, n_bands = 1 / 8, 1.0, 8, 3
+    table = solve_bands(BrillouinGrid(1, 8), cos_potential, 1, K)
+    n_x = int(L / eps) * 16
+    psi = WaveField(1, eps, L, rng.normal(size=n_x) + 1j * rng.normal(size=n_x))
+    coef, xis = bloch_transform(psi, table, n_bands)
+    R = psi.cells
+    c = np.fft.fft(psi.values) / n_x
+    pos = {int(m): i for i, m in enumerate(np.fft.fftfreq(n_x, d=1.0 / n_x))}
+    for f, xi in enumerate(xis[:, 0]):
+        r = int(round(xi * R / (2 * np.pi)))
+        _, vecs = np.linalg.eigh(assemble_bloch_hamiltonian([xi], cos_potential, K))
+        v = np.array([c[pos[r + k * R]] if r + k * R in pos else 0.0
+                      for k in range(-K, K + 1)])
+        ref = (eps / (2 * np.pi)) ** 0.5 * R * (np.conj(vecs[:, :n_bands]).T @ v)
+        assert np.allclose(np.abs(coef[:, f]), np.abs(ref), rtol=0, atol=1e-12)
+
+
+def test_bloch_transform_single_bloch_wave(cos_table128):
+    """exp(i xi x / eps) u_2(xi, x / eps) at the zone edge xi = -pi (the fiber
+    r = -R/2) puts all but 1e-10 of its mass in band 2 and that fiber."""
+    eps, L = 1 / 32, 1.0
+    n_x = int(L / eps) * 16
+    x = np.arange(n_x) * L / n_x
+    u2 = evaluate_bloch_wave(cos_table128, 2, [-np.pi], x / eps)
+    psi = WaveField(1, eps, L, np.exp(-1j * np.pi * x / eps) * u2)
+    coef, xis = bloch_transform(psi, cos_table128, 4)
+    f = int(np.argmin(np.abs(xis[:, 0] + np.pi)))
+    assert xis[f, 0] == -np.pi
+    mass = np.abs(coef[1, f]) ** 2 * (2 * np.pi / psi.cells)
+    assert 1 - mass / psi.norm() ** 2 <= 1e-10
 
 
 def test_windowed_mass_ratio_vs_dense_oracle(cos_potential):
@@ -237,8 +287,7 @@ def test_windowed_mass_ratio_vs_dense_oracle(cos_potential):
     g1 = phase_grid_for_field(psi0, coarse)
     n2, m1 = parseval_check(psi0, coarse, 8, g1)
     g2 = PhaseSpaceGrid(dimension=1, eps=eps, q_start=[0.0], dq=g1.dq / 2,
-                        n_q=2 * g1.n_q, p_nodes_per_axis=128, length=L,
-                        q_full_circle=True)
+                        n_q=2 * g1.n_q, p_nodes_per_axis=128)
     _, m2 = parseval_check(psi0, dense, 8, g2)
     assert abs(m1 / n2 - m2 / n2) <= 1e-8
     # the transform is an isometry up to band truncation: ratio just below 1
@@ -253,7 +302,7 @@ def test_2d_transform_projection_consistency(rng):
     n_x = int(L / eps) * 8
     psi0, _ = gaussian_packet(2, eps, L, n_x, q0=[1.0, 1.0], p0=[0.3, -0.2])
     grid = PhaseSpaceGrid(dimension=2, eps=eps, q_start=[0.0, 0.0], dq=0.25, n_q=8,
-                          p_nodes_per_axis=8, c_g=1.6, length=L, q_full_circle=True)
+                          p_nodes_per_axis=8, c_g=1.6)
     w = windowed_bloch_transform(psi0, table, 1, grid, r_c=6.0)
     assert np.all(np.isfinite(w.values))
     # adjoint duality in 2d: <Pi f, g> = <f, Pi g>

@@ -7,8 +7,11 @@ Runs, through the package CLI and into a temporary directory:
 * ``bands`` and ``convergence`` on ``configs/convergence.ini``;
 
 then prints one ``<sha256>  <config>/<file>`` line per ``.wf``/``.csv``
-output, sorted by name.  Two checkouts whose lines match wrote bit-identical
-data.  Run from anywhere:
+output, sorted by name, and after them one
+``<config>/<report> [<section>] <key> = <value>`` line per ``[monitors]`` and
+``[errors]`` entry of each run report.  Two checkouts whose lines match wrote
+bit-identical data and the same report values, so a ``diff`` of two listings
+shows both.  Run from anywhere:
 
     python3 tools/output_hashes.py
 
@@ -32,16 +35,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fgabloch.cli import main  # noqa: E402
+from fgabloch.pipeline import load_report  # noqa: E402
 
 RUNS = (
     ("propagate.ini", ("bands", "decompose", "propagate", "reference")),
     ("convergence.ini", ("bands", "convergence")),
 )
+REPORT_SECTIONS = ("monitors", "errors")
 
 
-def run_all(out_root: Path) -> dict:
-    """Run every command into out_root/<config stem>; name -> SHA-256."""
-    hashes = {}
+def run_all(out_root: Path):
+    """Run every command into out_root/<config stem>.
+
+    Returns (name -> SHA-256 of each data file, report value lines).
+    """
+    hashes, values = {}, []
     for config, commands in RUNS:
         out = out_root / Path(config).stem
         for command in commands:
@@ -54,10 +62,18 @@ def run_all(out_root: Path) -> dict:
             if path.suffix in (".wf", ".csv"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 hashes[f"{out.name}/{path.name}"] = digest
-    return hashes
+        for path in sorted(out.glob("report_*.txt")):
+            report = load_report(path)
+            for sect in REPORT_SECTIONS:
+                for key, val in report.sections.get(sect, {}).items():
+                    values.append(f"{out.name}/{path.name} [{sect}] {key} = {val}")
+    return hashes, values
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in sorted(run_all(Path(tmp)).items()):
+        hashes, values = run_all(Path(tmp))
+        for name, digest in sorted(hashes.items()):
             print(f"{digest}  {name}")
+        for line in values:
+            print(line)
