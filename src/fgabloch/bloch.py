@@ -6,9 +6,11 @@ and exports band energies, group velocities, band curvatures and the Berry
 connection as smooth periodic interpolants.
 
 Every cell Hamiltonian is assembled by `_cell_hamiltonians` and solved by
-`_cell_eigensolve`, batched over an array of momenta: the band table, the
-finite-difference gradient check and the torus Bloch transform
-(transform.bloch_transform) all go through it.
+`_cell_eigensolve`, batched over an array of momenta and over any set of
+plane-wave basis vectors: the band table, the finite-difference gradient
+check and the torus Bloch transform (transform.bloch_transform) use the
+symmetric set |k|_inf <= K, the reference solver's fibers
+(reference.reference_propagate) the FFT bins of one lattice cell.
 
 Conventions
 -----------
@@ -84,13 +86,14 @@ def reciprocal_vectors(cutoff: int, dimension: int) -> np.ndarray:
     return mesh_points([np.arange(-cutoff, cutoff + 1)] * dimension)
 
 
-def _potential_matrix(potential: PeriodicPotential, cutoff: int):
-    """Galerkin matrix of V in the plane-wave basis; real dtype when possible."""
+def _potential_matrix(potential: PeriodicPotential, kvecs: np.ndarray) -> np.ndarray:
+    """Galerkin matrix V_{k-k'} over the integer basis vectors kvecs (n_basis, d);
+    real dtype when possible."""
+    cutoff = int(np.max(np.abs(kvecs)))
     if cutoff < potential.cutoff:
         raise CutoffError(
             f"cutoff K={cutoff} below potential support K_V={potential.cutoff}")
     d = potential.dimension
-    kvecs = reciprocal_vectors(cutoff, d)
     box = np.zeros((4 * cutoff + 1,) * d, dtype=complex)
     for k, v in potential.coefficients.items():
         box[tuple(c + 2 * cutoff for c in k)] = v
@@ -98,7 +101,7 @@ def _potential_matrix(potential: PeriodicPotential, cutoff: int):
     vmat = box[tuple(diff[..., a] for a in range(d))]
     if np.all(vmat.imag == 0.0):
         vmat = vmat.real.copy()
-    return kvecs, vmat
+    return vmat
 
 
 def assemble_bloch_hamiltonian(xi, potential: PeriodicPotential, cutoff: int) -> np.ndarray:
@@ -110,7 +113,8 @@ def assemble_bloch_hamiltonian(xi, potential: PeriodicPotential, cutoff: int) ->
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (potential.dimension,):
         raise InvalidInputError(f"xi must have shape ({potential.dimension},)")
-    h = _cell_hamiltonians(*_potential_matrix(potential, cutoff), xi[None])
+    kvecs = reciprocal_vectors(cutoff, potential.dimension)
+    h = _cell_hamiltonians(kvecs, _potential_matrix(potential, kvecs), xi[None])
     return h[0].astype(complex)
 
 
@@ -123,15 +127,16 @@ def _cell_hamiltonians(kvecs: np.ndarray, vmat: np.ndarray, xi: np.ndarray) -> n
     return h
 
 
-def _cell_eigensolve(potential: PeriodicPotential, cutoff: int, xi: np.ndarray,
+def _cell_eigensolve(potential: PeriodicPotential, kvecs: np.ndarray, xi: np.ndarray,
                      n_values: int, n_vectors: int = 0):
-    """Lowest eigenpairs of the cell Hamiltonian at each momentum xi (m, d).
+    """Lowest eigenpairs of the cell Hamiltonian at each momentum xi (m, d),
+    over the plane-wave basis kvecs (n_basis, d).
 
     Returns (values (m, n_values), vectors (m, n_vectors, n_basis) complex,
     or None when n_vectors is 0).  The matrix is real when V is, and the
     momenta go in chunks of about _EIG_CHUNK_ENTRIES matrix entries.
     """
-    kvecs, vmat = _potential_matrix(potential, cutoff)
+    vmat = _potential_matrix(potential, kvecs)
     nb, m = kvecs.shape[0], xi.shape[0]
     values = np.empty((m, n_values))
     vectors = np.empty((m, n_vectors, nb), dtype=complex) if n_vectors else None
@@ -200,14 +205,15 @@ def solve_bands(grid: BrillouinGrid, potential: PeriodicPotential, n_bands: int,
     """Lowest n_bands eigenpairs of the cell Hamiltonian at every grid node."""
     if potential.dimension != grid.dimension:
         raise InvalidInputError("potential and grid dimensions differ")
-    nb = (2 * cutoff + 1) ** grid.dimension
+    kvecs = reciprocal_vectors(cutoff, grid.dimension)
+    nb = kvecs.shape[0]
     if n_bands > nb:
         raise InvalidInputError(f"n_bands={n_bands} exceeds basis size {nb}")
 
     nodes = grid.node_points()
     n_nodes = nodes.shape[0]
     n_keep = min(n_bands + 1, nb)   # one extra band for the gap above band n_bands
-    energies, coeffs = _cell_eigensolve(potential, cutoff, nodes, n_keep, n_bands)
+    energies, coeffs = _cell_eigensolve(potential, kvecs, nodes, n_keep, n_bands)
 
     band_e = energies[:, :n_bands]
     gap_up = np.full((n_nodes, n_bands), np.inf)
@@ -366,7 +372,7 @@ def _fd_gradient_samples(table: BandTable, nodes: np.ndarray, h: float = 1e-3):
     s, d, N = nodes.shape[0], table.grid.dimension, table.n_bands
     steps = np.array([-2, -1, 1, 2])[:, None, None] * h * np.eye(d)     # (4, axis, d)
     pts = (nodes[:, None, None, :] + steps).reshape(-1, d)
-    e, _ = _cell_eigensolve(table.potential, table.cutoff, pts, N)
+    e, _ = _cell_eigensolve(table.potential, table.kvecs(), pts, N)
     e = e.reshape(s, 4, d, N)
     return np.swapaxes((e[:, 0] - 8 * e[:, 1] + 8 * e[:, 2] - e[:, 3]) / (12 * h), 1, 2)
 

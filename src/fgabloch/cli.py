@@ -35,13 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgabloch",
         description="Frozen Gaussian propagation on Bloch bands with a "
-                    "split-step reference solver and convergence harness.")
+                    "Bloch-decomposition reference solver and convergence harness.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
             ("bands", "band structure, gauge fixing and gap report"),
             ("decompose", "windowed Bloch decomposition of the initial field"),
             ("propagate", "FGA propagation with checkpoint wave fields"),
-            ("reference", "fine-grid split-step reference run"),
+            ("reference", "fine-grid Bloch-decomposition reference run"),
             ("convergence", "FGA-vs-reference error table over an eps ladder")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="run configuration file")

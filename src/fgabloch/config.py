@@ -88,7 +88,7 @@ class RunConfig:
     dt: float = 1e-3
     x_per_cell: int = 16
     ref_x_per_cell: int = 32
-    ref_dt_divisor: float = 2560.0
+    ref_dt_divisor: float = 40.0
     seed_threshold: float = 1e-8
     a1: bool = False
     # [initial]

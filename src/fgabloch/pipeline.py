@@ -18,7 +18,7 @@ from .bloch import (BandTable, BrillouinGrid, band_isolation_check, dispersion_m
 from .config import RunConfig, RunReport
 from .dynamics import HamiltonianModel, integrate_ensemble
 from .errors import ConfigError, NumericError, ResourceLimitError
-from .reference import ReferenceConfig, reference_propagate
+from .reference import ReferenceConfig, reference_propagate, reference_steps
 from .synthesis import SynthesisPlan, initial_snapshot, multi_band_synthesize, synthesize
 from .transform import (_windowed_mass, band_projection, phase_grid_for_field,
                         windowed_bloch_transform)
@@ -82,7 +82,9 @@ def build_initial(cfg: RunConfig, table: BandTable, eps: float, n_x: int = None)
 
 def _reference_sizing_check(cfg: RunConfig, eps: float) -> int:
     n_x = int(round(cfg.length / eps)) * cfg.ref_x_per_cell
-    est_bytes = n_x * 16 * 8          # field + FFT work + phase tables
+    # field + FFT work + phase tables, and the (L/eps) fiber propagators of
+    # ref_x_per_cell^2 complex entries each
+    est_bytes = n_x * 16 * 8 + n_x * cfg.ref_x_per_cell * 16
     if est_bytes > cfg.mem_limit_gb * 2 ** 30:
         raise ResourceLimitError(
             f"reference grid of {n_x} points needs ~{est_bytes / 2**30:.3g} GiB "
@@ -221,6 +223,8 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     report = _new_report(cfg, "propagate")
     timer = StageTimer(report)
     eps = cfg.eps
+    compare = cfg.compare_reference and cfg.dimension == 1
+    n_x = _reference_sizing_check(cfg, eps) if compare else None
     table, psi0, psg, coeffs = _prepare_stage(cfg, eps, report, timer)
     checkpoints = cfg.checkpoint_times()
     model_pot = cfg.external()
@@ -279,15 +283,15 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                 results[n][1].export_csv(t, os.path.join(out, f"traj_band{n}_t{label}.csv"))
     report.put("monitors", "reconstruction_residual", recon_resid)
 
-    if cfg.compare_reference and cfg.dimension == 1:
+    if compare:
         with timer("reference"):
-            n_x = _reference_sizing_check(cfg, eps)
             proj_ref = band_projection(psi0, table, cfg.bands[0], psg, r_c=cfg.r_c,
                                        coefficients=coeffs[cfg.bands[0]], out_n_x=n_x)
             rcfg = ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
                                    dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
                                    external=model_pot, t_final=cfg.t_final)
             refs = reference_propagate(proj_ref, rcfg, checkpoint_times=checkpoints)
+            report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
             for t in checkpoints:
                 seeds, res = results[cfg.bands[0]]
                 plan = SynthesisPlan(table=table, band=cfg.bands[0], seeds=seeds,
@@ -301,7 +305,11 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
 
 
 def cmd_reference(cfg: RunConfig, out_dir=None) -> RunReport:
-    """Fine-grid Strang reference run with checkpoint outputs."""
+    """Fine-grid Bloch-decomposition reference run with checkpoint outputs.
+
+    The lattice part is exact per Bloch fiber; only U is split, at
+    dt = eps / ref_dt_divisor (one step per checkpoint segment when U = 0).
+    """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     report = _new_report(cfg, "reference")
@@ -318,6 +326,7 @@ def cmd_reference(cfg: RunConfig, out_dir=None) -> RunReport:
     checkpoints = cfg.checkpoint_times()
     with timer("propagate"):
         refs = reference_propagate(psi0, rcfg, checkpoint_times=checkpoints)
+    report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
     norm0 = psi0.norm()
     for t in checkpoints:
         f = refs[t]
@@ -375,6 +384,7 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
                                dt=eps / cfg.ref_dt_divisor, lattice=lattice,
                                external=pot, t_final=cfg.t_final)
         ref = reference_propagate(proj_ref, rcfg)
+        report.put("monitors", f"reference_steps_eps_{eps!r}", reference_steps(rcfg))
         model = HamiltonianModel(dispersion_model(table, band), pot)
         res = integrate_ensemble(seeds, model, T=cfg.t_final, dt=cfg.dt,
                                  enable_a1=cfg.a1)

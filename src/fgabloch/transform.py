@@ -403,7 +403,7 @@ def bloch_transform(field: WaveField, table: BandTable, n_bands: int):
     c = np.fft.fftn(field.values) / n_x ** d
     v = c[tuple(np.moveaxis(m % n_x, -1, 0))] * present
     xis = 2 * np.pi * fibers / R
-    _, vecs = _cell_eigensolve(table.potential, table.cutoff, xis, n_bands, n_bands)
+    _, vecs = _cell_eigensolve(table.potential, kvecs, xis, n_bands, n_bands)
     scale = (field.eps / (2 * np.pi)) ** (d / 2.0) * R ** d
     return scale * np.einsum("fnk,fk->nf", np.conj(vecs), v), xis
 

@@ -50,7 +50,7 @@ def _convergence_config(external_spec):
         f"potential.external_spec={external_spec}",
         "numerics.eps_list=0.0625,0.03125,0.015625",
         "numerics.M=64", "numerics.K=16", "numerics.n_bands=2",
-        "numerics.dt=1e-3", "numerics.ref_dt_divisor=2560",
+        "numerics.dt=1e-3", "numerics.ref_dt_divisor=40",
         "initial.q0=2.0", "initial.p0=0.5",
         "run.L=4.0", "run.T=0.5", "run.bands=1", "run.recon_bands=2",
         "tolerances.gap_guard_factor=2.0",

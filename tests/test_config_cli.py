@@ -225,6 +225,32 @@ def test_cmd_reference(config_file):
     assert (out / "psi_ref_t0p2.wf").exists()
 
 
+def test_reference_sizing_counts_fiber_propagators(config_file, monkeypatch):
+    """At eps = 1/16, L = 2 and 4,096 points per cell the field and FFT work
+    (~16 MiB) fit in 1 GiB, but the 32 fiber propagators of 4,096^2 complex
+    entries (8 GiB) do not: every reference user refuses before any
+    eigensolve."""
+    from fgabloch import bloch, reference
+    from fgabloch.errors import ResourceLimitError
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the sizing check")
+
+    monkeypatch.setattr(bloch, "_cell_eigensolve", no_eigensolve)
+    monkeypatch.setattr(reference, "_cell_eigensolve", no_eigensolve)
+    path, _ = config_file
+    cfg = RunConfig.from_text(path.read_text())
+    cfg.ref_x_per_cell = 4096
+    cfg.mem_limit_gb = 1.0
+    cfg.compare_reference = True
+    for cmd in (pipeline.cmd_reference, pipeline.cmd_propagate):
+        with pytest.raises(ResourceLimitError):
+            cmd(cfg)
+    cfg.eps_list = (0.0625, 0.03125)
+    with pytest.raises(ResourceLimitError):
+        pipeline.cmd_convergence(cfg)
+
+
 def test_cmd_convergence_validation(config_file):
     path, _ = config_file
     cfg = RunConfig.from_text(path.read_text())
