@@ -4,7 +4,7 @@ The package splits into:
 
 * bloch       — plane-wave band solver, gauge fixing, dispersion interpolants
 * transform   — windowed Bloch transform, band operators, Parseval checks
-* dynamics    — phase-space trajectory ensembles (Q, P, S, F, a0, a1)
+* dynamics    — phase-space trajectory ensembles (Q, P, F, S, phi, b; a0 from det Z)
 * synthesis   — wave-field assembly from propagated trajectories
 * reference   — split-step spectral reference solver (1D)
 * exact       — closed-form Gaussian evolution for quadratic Hamiltonians

@@ -334,13 +334,13 @@ def _periodic_derivative(values: np.ndarray, axis: int, spacing: float) -> np.nd
 
 
 def berry_connection(table: BandTable) -> BandTable:
-    """Berry connection samples A_n = Re[i <c, Dc>] on the grid.
+    """Berry connection samples A_n = Re[i <c, Dc>] = -Im <c, Dc> on the grid.
 
     D differentiates the gauge-fixed eigenvector field in xi: centered in the
     interior, one-sided at axis ends so the difference never crosses the
-    gauge seam.  The imaginary part of the raw inner product <c, Dc> is
-    recorded as table.berry_im_diag; parallel transport aligns neighboring
-    links, so after gauge fixing it vanishes to rounding and diagnoses the
+    gauge seam.  table.berry_im_diag records max |Im <c, Dc>| over usable
+    nodes, which is max |A_n|: it vanishes where A does (inversion-symmetric
+    lattices) and is O(1) on 2D lattices with A != 0.  It is not a measure of
     gauge quality.
     """
     if not table.gauge_fixed:

@@ -1,17 +1,21 @@
 """Trajectory ensemble dynamics.
 
-For each phase-space seed the coupled system (Q, P, S, F, a0, a1) is driven
-by the band Hamiltonian h(q, p) = E(p) + U(q):
+For each phase-space seed the state (Q, P, F, S, phi, b) is driven by the
+band Hamiltonian h(q, p) = E(p) + U(q), with A(P) the Berry connection:
 
     dQ/dt = grad E(P)            dP/dt = -grad U(Q)
-    dS/dt = P.grad E(P) - h(Q, P)
     dF/dt = [[0, hess E(P)], [-hess U(Q), 0]] F     (separable h: mixed blocks vanish)
-    da0/dt = a0 [ tr(dzP hessE Zinv)/2 - i A(P).grad U(Q) - i tr(dzQ hessU Zinv)/2 ]
+    dS/dt = P.grad E(P) - h(Q, P)        dphi/dt = -A(P).grad U(Q)
 
-with Z = dzQ + i dzP, dz = d/dq - i d/dp read off the flow Jacobian F.
-The first-order amplitude a1 adds source terms with second phase-space
-derivatives of the flow; those are obtained from auxiliary trajectories
-seeded on a 9-point stencil around each seed (one-dimensional only).
+The leading amplitude's transport equation is solved in closed form (the
+Herman-Kluk prefactor times a Berry factor): a0 = sqrt(det Z) exp(i phi), with
+Z = dz(Q + iP) = F_qq + F_pp + i(F_pq - F_qp) for F = [[F_qq, F_qp], [F_pq, F_pp]]
+and dz = d/dq - i d/dp.  The root follows det Z continuously from det Z(0) = 2^d:
+each step's monitor adds arg(det Z_new conj(det Z_old)) to theta = arg det Z,
+and a0 = sqrt|det Z| exp(i(theta/2 + phi)).  The first-order amplitude is
+a1 = a0 b with db/dt = i src, where src holds second phase-space derivatives
+of the flow from auxiliary trajectories seeded on a 9-point stencil around
+each seed (one-dimensional only).
 
 Everything is integrated with classic fixed-step RK4; symplecticity of F and
 the lower bound sigma_min(Z) >= sqrt(2) are monitored, not enforced.  P is
@@ -70,32 +74,46 @@ def wrap_momentum(p):
     return wrapped, winding
 
 
-def _blocks(F, d):
-    return F[..., :d, :d], F[..., :d, d:], F[..., d:, :d], F[..., d:, d:]
+def _z(F):
+    """Z = dz(Q + iP) from the blocks of (batched) F (see the module docstring)."""
+    d = F.shape[-1] // 2
+    return F[..., :d, :d] + F[..., d:, d:] + 1j * (F[..., d:, :d] - F[..., :d, d:])
+
+
+def _det(Z):
+    """det Z in closed form for (batched) d x d Z, d <= 2."""
+    if Z.shape[-1] == 1:
+        return Z[..., 0, 0]
+    return Z[..., 0, 0] * Z[..., 1, 1] - Z[..., 0, 1] * Z[..., 1, 0]
+
+
+def _sigma_min(Z, det):
+    """sigma_min(Z) = |det Z| / sigma_max, with
+    sigma_max^2 = (|Z|_F^2 + sqrt(|Z|_F^4 - 4 |det Z|^2)) / 2 for d = 2."""
+    mod = np.abs(det)
+    if Z.shape[-1] == 1:
+        return mod
+    fro2 = np.sum(Z.real ** 2 + Z.imag ** 2, axis=(-2, -1))
+    smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4.0 * mod ** 2, 0.0)))
+    return mod / np.sqrt(smax2)
 
 
 def z_matrix(F: np.ndarray) -> np.ndarray:
-    """Z = dz(Q + iP) = A + D + i(C - B) from flow Jacobian blocks.
+    """Z = dz(Q + iP) from the flow Jacobian blocks.
 
     Raises InvariantViolationError when sigma_min(Z) < 1 (theory guarantees
     sqrt(2) for symplectic F).
     """
-    F = np.asarray(F, dtype=float)
-    d = F.shape[-1] // 2
-    A, B, C, D = _blocks(F, d)
-    Z = A + D + 1j * (C - B)
-    if np.min(sigma_min_z(Z)) < 1.0:
-        raise InvariantViolationError(
-            f"sigma_min(Z) = {np.min(sigma_min_z(Z)):.6f} < 1")
+    Z = _z(np.asarray(F, dtype=float))
+    smin = np.min(sigma_min_z(Z))
+    if smin < 1.0:
+        raise InvariantViolationError(f"sigma_min(Z) = {smin:.6f} < 1")
     return Z
 
 
 def sigma_min_z(Z: np.ndarray) -> np.ndarray:
-    """Smallest singular value of (batched) d x d complex Z."""
-    d = Z.shape[-1]
-    if d == 1:
-        return np.abs(Z[..., 0, 0])
-    return np.linalg.svd(Z, compute_uv=False)[..., -1]
+    """Smallest singular value of (batched) d x d complex Z, d <= 2."""
+    return _sigma_min(Z, _det(Z))
 
 
 def symplectic_residual(F: np.ndarray) -> np.ndarray:
@@ -106,25 +124,6 @@ def symplectic_residual(F: np.ndarray) -> np.ndarray:
     J[d:, :d] = -np.eye(d)
     resid = np.swapaxes(F, -1, -2) @ J @ F - J
     return np.max(np.abs(resid), axis=(-2, -1))
-
-
-def _a0_lambda(F, hess_e, hess_u, berry, grad_u):
-    """Logarithmic derivative of a0 along the flow (vectorized)."""
-    d = grad_u.shape[-1]
-    A, B, C, D = _blocks(F, d)
-    dzQ = A - 1j * B
-    dzP = C - 1j * D
-    Z = dzQ + 1j * dzP
-    if d == 1:
-        Zinv = 1.0 / Z
-        tr1 = (0.5 * (dzP * hess_e * Zinv))[..., 0, 0]
-        tr3 = (0.5 * (dzQ * hess_u * Zinv))[..., 0, 0]
-    else:
-        Zinv = np.linalg.inv(Z)
-        tr1 = 0.5 * np.einsum("nij,njk,nki->n", dzP, hess_e.astype(complex), Zinv)
-        tr3 = 0.5 * np.einsum("nij,njk,nki->n", dzQ, hess_u.astype(complex), Zinv)
-    adotg = np.sum(berry * grad_u, axis=-1)
-    return tr1 - 1j * adotg - 1j * tr3
 
 
 # stencil layout for the a1 source terms (d == 1):
@@ -149,16 +148,13 @@ def _dz2(vals, delta):
 
 
 def _a1_sources(potential: ExternalPotential, Q, F, upp, delta):
-    """Source terms of the first-order amplitude from stencil cores.
+    """Source term src of the first-order amplitude from stencil cores.
 
     Q, F carry a stencil axis: Q (n, 9, 1), F (n, 9, 2, 2); upp (n, 9) is
-    U'' at Q.  Returns the complex combination  tr-terms  multiplying i*a0
-    in da1/dt.
+    U'' at Q.  Returns src with d(a1/a0)/dt = i src.
     """
-    A, B, C, D = _blocks(F, 1)
-    dzQ = (A - 1j * B)[..., 0, 0]                       # (n, 9)
-    Z = (A + D + 1j * (C - B))[..., 0, 0]
-    Zinv = 1.0 / Z
+    dzQ = F[..., 0, 0] - 1j * F[..., 0, 1]              # (n, 9)
+    Zinv = 1.0 / _z(F)[..., 0, 0]
     q_flat = Q.reshape(-1, 1)
     uppp = potential.third(q_flat)[:, 0, 0, 0].reshape(Q.shape[:2])
     upppp = potential.fourth(q_flat)[:, 0, 0, 0, 0].reshape(Q.shape[:2])
@@ -173,13 +169,14 @@ def _a1_sources(potential: ExternalPotential, Q, F, upp, delta):
     return 0.5 * term1 + term2 / 3.0 + term3 / 6.0 - term4 / 8.0
 
 
-def _rhs(model: HamiltonianModel, Q, P, F, a0, a1, delta=None):
-    """Time derivatives (dQ, dP, dF, dS, da0, da1) of the ensemble state.
+def _rhs(model: HamiltonianModel, Q, P, F, delta=None):
+    """Time derivatives (dQ, dP, dF, dS, dphi, db) of the ensemble state.
 
-    Q, P (n, cores, d) with P unwrapped, F (n, cores, 2d, 2d), a0, a1 (n,).
-    Core 0 is the trajectory itself; with `delta` (the stencil spacing) the
-    N_STENCIL cores carry the a1 stencil and da1 is transported, otherwise
-    da1 = 0.  E, grad E, hess E and A come from one dispersion query.
+    Q, P (n, cores, d) with P unwrapped, F (n, cores, 2d, 2d); no derivative
+    depends on S, phi or b.  Core 0 is the trajectory itself; with `delta`
+    (the stencil spacing) the N_STENCIL cores carry the a1 stencil and
+    db = i src, otherwise db = 0.  E, grad E, hess E and A come from one
+    dispersion query.
     """
     d = Q.shape[-1]
     lead = Q.shape[:2]
@@ -187,25 +184,21 @@ def _rhs(model: HamiltonianModel, Q, P, F, a0, a1, delta=None):
     e, grad_e, hess_e, berry = model.dispersion.query(P.reshape(-1, d))
     grad_u = model.potential.grad(qf).reshape(Q.shape)
     hess_u = model.potential.hess(qf).reshape(lead + (d, d))
-    hess_e = hess_e.reshape(lead + (d, d))
     dQ = grad_e.reshape(Q.shape)
     dP = -grad_u
     K = np.zeros(lead + (2 * d, 2 * d))
-    K[..., :d, d:] = hess_e
+    K[..., :d, d:] = hess_e.reshape(lead + (d, d))
     K[..., d:, :d] = -hess_u
     dF = K @ F
     pm, qm = P[:, 0, :], Q[:, 0, :]
     h = e.reshape(lead)[:, 0] + model.potential.value(qm)
     dS = np.sum(pm * dQ[:, 0, :], axis=1) - h
-    lam = _a0_lambda(F[:, 0], hess_e[:, 0], hess_u[:, 0],
-                     berry.reshape(Q.shape)[:, 0], grad_u[:, 0])
-    dA0 = a0 * lam
+    dphi = -np.sum(berry.reshape(Q.shape)[:, 0] * grad_u[:, 0], axis=-1)
     if delta is None:
-        dA1 = np.zeros_like(a1)
+        db = np.zeros(lead[0], dtype=complex)
     else:
-        dA1 = a1 * lam + 1j * a0 * _a1_sources(model.potential, Q, F,
-                                               hess_u[..., 0, 0], delta)
-    return dQ, dP, dF, dS, dA0, dA1
+        db = 1j * _a1_sources(model.potential, Q, F, hess_u[..., 0, 0], delta)
+    return dQ, dP, dF, dS, dphi, db
 
 
 @dataclass
@@ -286,9 +279,10 @@ def stability_dt_max(model: HamiltonianModel, seeds: SeedSet, safety: float = 0.
 def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: float,
                        checkpoint_times=None, enable_a1: bool = False,
                        a1_delta: float = None) -> EnsembleResult:
-    """RK4 integration of the coupled (Q, P, S, F, a0, a1) system for all seeds.
+    """RK4 integration of the (Q, P, F, S, phi, b) system for all seeds.
 
-    Checkpoints are snapped to step multiples.  Invariant monitors
+    Checkpoints are snapped to step multiples; snapshots carry a0 and a1
+    formed from det Z (see the module docstring).  Invariant monitors
     (symplecticity residual, sigma_min(Z), finiteness) run every step; a
     breach marks the trajectory failed without aborting the ensemble.
     """
@@ -321,38 +315,46 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         Q += delta * _STENCIL[None, :, 0:1]
         P += delta * _STENCIL[None, :, 1:2]
     F = np.broadcast_to(np.eye(2 * d), (n, n_cores, 2 * d, 2 * d)).copy()
-    S = np.zeros(n)
-    a0 = np.full(n, 2.0 ** (d / 2.0), dtype=complex)
-    a1 = np.zeros(n, dtype=complex)
+    S, phi, b = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
+    state = (Q, P, F, S, phi, b)
 
+    det_z = np.full(n, 2.0 ** d, dtype=complex)
+    theta = np.zeros(n)                 # arg det Z, continuous from det Z(0) = 2^d
     sympl_run = np.zeros(n)
     sigma_run = np.full(n, np.inf)
     ok = np.ones(n, dtype=bool)
     snapshots = {}
 
     def monitor():
+        nonlocal det_z, theta
         fm = F[:, 0]
+        Z = _z(fm)
+        det = _det(Z)
+        theta = theta + np.angle(det * np.conj(det_z))
+        det_z = det
         resid = symplectic_residual(fm)
-        A, B, C, D = _blocks(fm, d)
-        Z = A + D + 1j * (C - B)
-        smin = sigma_min_z(Z)
+        smin = _sigma_min(Z, det)
         np.maximum(sympl_run, resid, out=sympl_run)
         np.minimum(sigma_run, smin, out=sigma_run)
         finite = (np.isfinite(Q).all(axis=(1, 2)) & np.isfinite(P).all(axis=(1, 2))
-                  & np.isfinite(a0) & np.isfinite(a1))
+                  & np.isfinite(det) & np.isfinite(phi) & np.isfinite(b))
         ok[:] = ok & finite & (smin >= 1.0)
         return resid, smin
 
-    def snap(t):
-        resid, smin = monitor()
+    def snap(t, resid, smin):
+        a0 = np.sqrt(np.abs(det_z)) * np.exp(1j * (0.5 * theta + phi))
         snapshots[float(t)] = EnsembleSnapshot(
             t=float(t), Q=Q[:, 0].copy(), P=P[:, 0].copy(), S=S.copy(),
-            F=F[:, 0].copy(), a0=a0.copy(), a1=a1.copy(),
-            sympl_residual=resid.copy(), sigma_min=smin.copy(), ok=ok.copy())
+            F=F[:, 0].copy(), a0=a0, a1=a0 * b,
+            sympl_residual=resid, sigma_min=smin, ok=ok.copy())
+
+    def stage(k, c):
+        # the derivatives read (Q, P, F) only: stage just those
+        return _rhs(model, *(y + c * dy for y, dy in zip(state[:3], k)), delta)
 
     t_now = 0.0
     if any(abs(c) < 1e-12 for c in checkpoints):
-        snap(0.0)
+        snap(0.0, *monitor())
     for target in checkpoints:
         if target < 1e-12:
             continue
@@ -360,22 +362,15 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         n_steps = max(1, int(round(seg / dt)))
         h = seg / n_steps
         for _ in range(n_steps):
-            k1 = _rhs(model, Q, P, F, a0, a1, delta)
-            k2 = _rhs(model, Q + 0.5 * h * k1[0], P + 0.5 * h * k1[1], F + 0.5 * h * k1[2],
-                      a0 + 0.5 * h * k1[4], a1 + 0.5 * h * k1[5], delta)
-            k3 = _rhs(model, Q + 0.5 * h * k2[0], P + 0.5 * h * k2[1], F + 0.5 * h * k2[2],
-                      a0 + 0.5 * h * k2[4], a1 + 0.5 * h * k2[5], delta)
-            k4 = _rhs(model, Q + h * k3[0], P + h * k3[1], F + h * k3[2],
-                      a0 + h * k3[4], a1 + h * k3[5], delta)
-            Q += (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            P += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            F += (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            S += (h / 6) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            a0 += (h / 6) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-            a1 += (h / 6) * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-            monitor()
+            k1 = _rhs(model, Q, P, F, delta)
+            k2 = stage(k1, 0.5 * h)
+            k3 = stage(k2, 0.5 * h)
+            k4 = stage(k3, h)
+            for y, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4):
+                y += (h / 6) * (d1 + 2 * d2 + 2 * d3 + d4)
+            watched = monitor()
         t_now = target
-        snap(t_now)
+        snap(t_now, *watched)
 
     return EnsembleResult(seeds=seeds, snapshots=snapshots,
                           max_sympl_residual=float(sympl_run.max()),

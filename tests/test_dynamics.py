@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fgabloch.bloch import dispersion_model
+from fgabloch.bloch import BrillouinGrid, dispersion_model, prepare_band_table
 from fgabloch.dynamics import (N_STENCIL, HamiltonianModel, _rhs, integrate_ensemble,
-                               wrap_momentum, z_matrix)
+                               sigma_min_z, wrap_momentum, z_matrix)
 from fgabloch.errors import InvalidInputError, InvariantViolationError, NumericError
-from fgabloch.potentials import (cubic_potential, harmonic_potential,
+from fgabloch.potentials import (PeriodicPotential, cubic_potential, harmonic_potential,
                                  linear_potential, zero_potential)
 from fgabloch.transform import SeedSet
 
@@ -53,13 +53,12 @@ class CountingDispersion(FreeDispersion):
         return super().query(p)
 
 
-def _rhs_at(model, q, p, F=None, a0=np.sqrt(2)):
-    """(dQ, dP, dF, dS, da0) of the ensemble right-hand side for one trajectory."""
+def _rhs_at(model, q, p, F=None):
+    """(dQ, dP, dF, dS) of the ensemble right-hand side for one trajectory."""
     F = np.eye(2) if F is None else F
-    dQ, dP, dF, dS, dA0, _ = _rhs(model, np.full((1, 1, 1), float(q)),
-                                  np.full((1, 1, 1), float(p)), F[None, None],
-                                  np.array([a0], complex), np.zeros(1, complex))
-    return dQ[0, 0], dP[0, 0], dF[0, 0], dS[0], dA0[0]
+    dQ, dP, dF, dS = _rhs(model, np.full((1, 1, 1), float(q)),
+                          np.full((1, 1, 1), float(p)), F[None, None])[:4]
+    return dQ[0, 0], dP[0, 0], dF[0, 0], dS[0]
 
 
 def _seed(qp_list, eps=1 / 64):
@@ -128,13 +127,19 @@ def test_z_matrix_2d_identity():
 
 
 def test_a0_rhs_free_matches_closed_form():
+    """Free band: Z = 2 - it, so a0(t) = sqrt(2 - it)."""
     model = HamiltonianModel(FreeDispersion(), zero_potential(1))
     t = 0.4
-    F = np.array([[1.0, t], [0.0, 1.0]])
-    a0 = np.sqrt(2 - 1j * t)
-    got = _rhs_at(model, 0.0, 0.5, F=F, a0=a0)[4]
-    expect = -1j * a0 / (2 * (2 - 1j * t))
-    assert got == pytest.approx(expect, abs=1e-14)
+    a0 = integrate_ensemble(_seed([(0.0, 0.5)]), model, T=t, dt=1e-3).at(t).a0[0]
+    assert a0 == pytest.approx(np.sqrt(2 - 1j * t), abs=1e-14)
+
+
+def test_sigma_min_closed_form_matches_svd(rng):
+    Z = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+    Z = np.concatenate([Z, [2 * np.eye(2)]])        # equal singular values
+    expect = np.linalg.svd(Z, compute_uv=False)[:, -1]
+    assert np.max(np.abs(sigma_min_z(Z) / expect - 1)) <= 1e-12
+    assert sigma_min_z(2 * np.eye(2)) == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("enable_a1", [False, True])
@@ -147,8 +152,7 @@ def test_rhs_makes_one_dispersion_query(enable_a1):
     disp.queries = 0
     cores = N_STENCIL if enable_a1 else 1
     _rhs(model, np.zeros((2, cores, 1)), np.zeros((2, cores, 1)),
-         np.broadcast_to(np.eye(2), (2, cores, 2, 2)), np.ones(2, complex),
-         np.zeros(2, complex), 0.01 if enable_a1 else None)
+         np.broadcast_to(np.eye(2), (2, cores, 2, 2)), 0.01 if enable_a1 else None)
     assert disp.queries == 1
 
 
@@ -271,7 +275,79 @@ def test_a1_zero_for_quadratic_potential():
     seeds = _seed([(0.4, 0.6), (0.0, -0.8)])
     res = integrate_ensemble(seeds, model, T=0.8, dt=1e-3, enable_a1=True)
     assert np.max(np.abs(res.at(0.8).a1)) <= 1e-8
-    assert np.max(np.abs(res.at(0.8).a0 - np.sqrt(2 - 0.8j) * 0)) >= 0  # a0 evolved
+    # F is a rotation in (q, omega p), so Z = 2 cos wt - i (w + 1/w) sin wt
+    w, t = np.sqrt(1.3), 0.8
+    a0 = np.sqrt(2 * np.cos(w * t) - 1j * (w + 1 / w) * np.sin(w * t))
+    assert np.max(np.abs(res.at(0.8).a0 - a0)) <= 1e-9
+
+
+def test_a0_branch_continuity():
+    """Harmonic U, free band: Z = 2 exp(-it), so a0 = sqrt(2) exp(-it/2) follows
+    the root continuously; the principal root has the wrong sign at both times."""
+    model = HamiltonianModel(FreeDispersion(), harmonic_potential(1, k=1.0))
+    res = integrate_ensemble(_seed([(0.3, 0.2)]), model, T=3 * np.pi, dt=2e-3,
+                             checkpoint_times=[2 * np.pi])
+    assert abs(res.at(2 * np.pi).a0[0] - (-SQRT2)) <= 1e-9
+    assert abs(res.at(3 * np.pi).a0[0] - 1j * SQRT2) <= 1e-9
+
+
+def _a0_log_derivative_oracle(model, seeds, T, dt):
+    """a0(T) from RK4 on (Q, P, F, a0) with the transport equation in
+    log-derivative form (oracle):
+
+        da0/dt = a0 [tr(dzP hessE Z^-1)/2 - i A.grad U - i tr(dzQ hessU Z^-1)/2]
+
+    with dzQ = F_qq - i F_qp, dzP = F_pq - i F_pp and Z = dzQ + i dzP.
+    """
+    d, n = model.dimension, seeds.count
+
+    def deriv(Q, P, F, a0):
+        _, grad_e, hess_e, berry = model.dispersion.query(P)
+        grad_u, hess_u = model.potential.grad(Q), model.potential.hess(Q)
+        K = np.zeros((n, 2 * d, 2 * d))
+        K[:, :d, d:] = hess_e
+        K[:, d:, :d] = -hess_u
+        dzQ = F[:, :d, :d] - 1j * F[:, :d, d:]
+        dzP = F[:, d:, :d] - 1j * F[:, d:, d:]
+        Zinv = np.linalg.inv(dzQ + 1j * dzP)
+        lam = (0.5 * np.einsum("nij,njk,nki->n", dzP, hess_e, Zinv)
+               - 1j * np.sum(berry * grad_u, axis=-1)
+               - 0.5j * np.einsum("nij,njk,nki->n", dzQ, hess_u, Zinv))
+        return grad_e, -grad_u, K @ F, a0 * lam
+
+    y = (seeds.q.astype(float), seeds.p.astype(float),
+         np.broadcast_to(np.eye(2 * d), (n, 2 * d, 2 * d)), np.full(n, 2.0 ** (d / 2), complex))
+    steps = int(round(T / dt))
+    h = T / steps
+    for _ in range(steps):
+        k1 = deriv(*y)
+        k2 = deriv(*(v + 0.5 * h * k for v, k in zip(y, k1)))
+        k3 = deriv(*(v + 0.5 * h * k for v, k in zip(y, k2)))
+        k4 = deriv(*(v + h * k for v, k in zip(y, k3)))
+        y = tuple(v + (h / 6) * (a + 2 * b + 2 * c + e)
+                  for v, a, b, c, e in zip(y, k1, k2, k3, k4))
+    return y[3]
+
+
+def test_a0_berry_factor_2d_matches_log_derivative_oracle():
+    """2D lattice without inversion symmetry (max |A| about 0.39), harmonic U:
+    the closed-form a0 = sqrt(det Z) exp(i phi) against the transport ODE."""
+    v = PeriodicPotential(dimension=2, coefficients={
+        (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5,
+        (1, 1): -0.3j, (-1, -1): 0.3j, (2, -1): -0.2j, (-2, 1): 0.2j})
+    table = prepare_band_table(BrillouinGrid(2, 32), v, 2, 4)
+    model = HamiltonianModel(dispersion_model(table, 1), harmonic_potential(2, k=1.0))
+    q = np.array([[0.5, -0.3], [-0.4, 0.6], [0.8, 0.2]])
+    p = np.array([[0.4, 1.1], [-1.3, 0.2], [2.0, -0.9]])
+    seeds = SeedSet(band=1, eps=1 / 64, q=q, p=p, w=np.ones(3, complex), weight=1.0,
+                    total_points=3)
+    T, dt = 1.0, 2e-3
+    snap = integrate_ensemble(seeds, model, T=T, dt=dt).at(T)
+    oracle = _a0_log_derivative_oracle(model, seeds, T, dt)
+    assert np.max(np.abs(snap.a0 - oracle)) <= 1e-9
+    # the Berry factor is not negligible here: without it the check above fails
+    berry_phase = np.angle(snap.a0 ** 2 / np.linalg.det(z_matrix(snap.F)))
+    assert np.max(np.abs(berry_phase)) >= 1e-3
 
 
 def test_a1_initial_value_zero():
