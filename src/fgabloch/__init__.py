@@ -24,7 +24,7 @@ from .potentials import (ExternalPotential, PeriodicPotential, cosine_potential,
                          cubic_potential, harmonic_potential, linear_potential,
                          parse_external, quartic_potential, zero_potential)
 from .reference import ReferenceConfig, reference_propagate
-from .synthesis import SynthesisPlan, initial_snapshot, multi_band_synthesize, synthesize
+from .synthesis import SynthesisPlan, initial_snapshot, synthesize
 from .transform import (PhaseSpaceGrid, SeedSet, WindowedCoefficients,
                         band_projection, bloch_transform, gaussian_eval,
                         parseval_check, phase_grid_for_field, reconstruct,

@@ -153,6 +153,10 @@ class RunConfig:
             raise ConfigError("x_per_cell must be >= 8")
         if self.ref_x_per_cell < 32:
             raise ConfigError("ref_x_per_cell must be >= 32")
+        if (self.compare_reference and self.dimension == 1
+                and self.ref_x_per_cell % self.x_per_cell):
+            raise ConfigError(f"compare_reference needs ref_x_per_cell = {self.ref_x_per_cell}"
+                              f" to be a multiple of x_per_cell = {self.x_per_cell}")
         if self.ref_dt_divisor < 20:
             raise ConfigError("ref_dt_divisor must be >= 20")
         if not 0 <= self.seed_threshold < 1:

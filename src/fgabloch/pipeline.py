@@ -19,7 +19,7 @@ from .config import RunConfig, RunReport
 from .dynamics import HamiltonianModel, integrate_ensemble
 from .errors import ConfigError, NumericError, ResourceLimitError
 from .reference import ReferenceConfig, reference_propagate, reference_steps
-from .synthesis import SynthesisPlan, initial_snapshot, multi_band_synthesize, synthesize
+from .synthesis import SynthesisPlan, initial_snapshot, synthesize
 from .transform import (_windowed_mass, band_projection, phase_grid_for_field,
                         windowed_bloch_transform)
 from .wavefield import WaveField, gaussian_packet, l2_distance
@@ -110,17 +110,11 @@ def write_band_csv(table: BandTable, path):
 
 
 def write_psi2_csv(field: WaveField, path):
+    d = field.dimension
     with open(path, "w") as fh:
-        if field.dimension == 1:
-            fh.write("x,psi2\n")
-            for x, v in zip(field.axis_points(), field.values):
-                fh.write(f"{x!r},{abs(v)**2!r}\n")
-        else:
-            fh.write("x0,x1,psi2\n")
-            ax = field.axis_points()
-            for i, x0 in enumerate(ax):
-                for j, x1 in enumerate(ax):
-                    fh.write(f"{x0!r},{x1!r},{abs(field.values[i, j])**2!r}\n")
+        fh.write(",".join(["x"] if d == 1 else [f"x{a}" for a in range(d)]) + ",psi2\n")
+        for x, v in zip(field.grid_points(), field.values.ravel()):
+            fh.write(",".join(repr(float(c)) for c in (*x, abs(v) ** 2)) + "\n")
 
 
 def _new_report(cfg: RunConfig, command: str) -> RunReport:
@@ -226,6 +220,8 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     compare = cfg.compare_reference and cfg.dimension == 1
     n_x = _reference_sizing_check(cfg, eps) if compare else None
     table, psi0, psg, coeffs = _prepare_stage(cfg, eps, report, timer)
+    if compare and n_x % psi0.n_x:
+        raise ConfigError(f"reference grid {n_x} not a multiple of initial field {psi0.n_x}")
     checkpoints = cfg.checkpoint_times()
     model_pot = cfg.external()
 
@@ -267,22 +263,6 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     report.put("monitors", "failed_trajectories",
                sum(res.n_failed for _, res in results.values()))
 
-    with timer("synthesize"):
-        for t in checkpoints:
-            plans = []
-            for n in cfg.bands:
-                seeds, res = results[n]
-                plans.append(SynthesisPlan(table=table, band=n, seeds=seeds,
-                                           snapshot=res.at(t), length=cfg.length,
-                                           out_n_x=psi0.n_x, r_c=cfg.r_c))
-            fga = multi_band_synthesize(plans)
-            label = _fga_time_label(t)
-            fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
-            write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))
-            for n in cfg.bands:
-                results[n][1].export_csv(t, os.path.join(out, f"traj_band{n}_t{label}.csv"))
-    report.put("monitors", "reconstruction_residual", recon_resid)
-
     if compare:
         with timer("reference"):
             proj_ref = band_projection(psi0, table, cfg.bands[0], psg, r_c=cfg.r_c,
@@ -291,15 +271,27 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                                    dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
                                    external=model_pot, t_final=cfg.t_final)
             refs = reference_propagate(proj_ref, rcfg, checkpoint_times=checkpoints)
-            report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
-            for t in checkpoints:
-                seeds, res = results[cfg.bands[0]]
-                plan = SynthesisPlan(table=table, band=cfg.bands[0], seeds=seeds,
-                                     snapshot=res.at(t), length=cfg.length,
-                                     out_n_x=n_x, r_c=cfg.r_c)
-                fga = synthesize(plan)
-                err_abs, err_rel = l2_distance(fga, refs[t])
-                report.put("errors", f"vs_reference_t{_fga_time_label(t)}", err_rel)
+        report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
+
+    # one synthesis per band and checkpoint, on the reference grid when comparing
+    # with it; psi_fga_* take the fine field subsampled
+    out_n_x = n_x if compare else psi0.n_x
+    with timer("synthesize"):
+        for t in checkpoints:
+            fields = [synthesize(SynthesisPlan(
+                table=table, band=n, seeds=results[n][0], snapshot=results[n][1].at(t),
+                length=cfg.length, out_n_x=out_n_x, r_c=cfg.r_c)) for n in cfg.bands]
+            label = _fga_time_label(t)
+            if compare:
+                report.put("errors", f"vs_reference_t{label}",
+                           l2_distance(fields[0], refs[t])[1])
+            total = sum(f.values for f in fields)
+            fga = fields[0].with_values(total[::out_n_x // psi0.n_x])
+            fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
+            write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))
+            for n in cfg.bands:
+                results[n][1].export_csv(t, os.path.join(out, f"traj_band{n}_t{label}.csv"))
+    report.put("monitors", "reconstruction_residual", recon_resid)
     _write_report(report, out, "propagate")
     return report
 

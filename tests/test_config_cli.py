@@ -1,4 +1,6 @@
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from fgabloch.cli import main
 from fgabloch.config import RunConfig, RunReport
 from fgabloch.errors import ConfigError
 from fgabloch import pipeline
+from fgabloch.wavefield import WaveField, l2_distance
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = """
 [potential]
@@ -83,6 +88,52 @@ def test_config_overrides_and_aliases():
         cfg.apply_overrides(["nonsense"])
 
 
+def test_compare_reference_needs_a_grid_multiple(config_file, tmp_path, capsys):
+    """With compare_reference on, the field grid is the reference grid
+    subsampled: a 1D ref_x_per_cell that is not a multiple of x_per_cell is a
+    configuration error naming both settings, in a config, through --set
+    (exit code 2), and for an initial wave-field file on another grid."""
+    cfg = RunConfig(compare_reference=True, ref_x_per_cell=40)
+    with pytest.raises(ConfigError, match="ref_x_per_cell = 40.*x_per_cell = 16"):
+        cfg.validate()
+    replace(cfg, compare_reference=False).validate()
+    shipped = RunConfig.from_text((CONFIGS / "propagate.ini").read_text())
+    assert shipped.compare_reference and (shipped.x_per_cell, shipped.ref_x_per_cell) == (16, 32)
+    path, _ = config_file
+    code = main(["propagate", "--config", str(path), "--set", "run.compare_reference=true",
+                 "--set", "numerics.ref_x_per_cell=40"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ref_x_per_cell = 40" in err and "x_per_cell = 16" in err
+    # a file of 24 points per cell cannot be read off the 32-point reference grid
+    cfg = RunConfig.from_text(path.read_text())
+    table = pipeline.build_table(cfg, cfg.eps)
+    psi0, _ = pipeline.build_initial(cfg, table, cfg.eps, n_x=int(cfg.length / cfg.eps) * 24)
+    psi0.write(tmp_path / "init.wf")
+    cfg = cfg.apply_overrides(["initial.type=wavefield-file",
+                               f"initial.file={tmp_path / 'init.wf'}",
+                               "run.compare_reference=true"])
+    with pytest.raises(ConfigError, match="not a multiple of initial field"):
+        pipeline.cmd_propagate(cfg)
+
+
+def test_write_psi2_csv_cells_parse_as_floats(tmp_path, rng):
+    """Every cell of a written 1D and 2D |psi|^2 file parses with float() and
+    gives back the grid point and |psi|^2 bit for bit."""
+    for d, n in ((1, 16), (2, 6)):
+        vals = rng.standard_normal((n,) * d) + 1j * rng.standard_normal((n,) * d)
+        field = WaveField(d, 0.25, 1.0, vals, 0.0)
+        path = tmp_path / f"psi2_{d}d.csv"
+        pipeline.write_psi2_csv(field, path)
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",")[-1] == "psi2"
+        cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+        axes = np.meshgrid(*[field.axis_points()] * d, indexing="ij")
+        assert cells.shape == (n ** d, d + 1)
+        assert np.array_equal(cells[:, :d], np.stack(axes, -1).reshape(-1, d))
+        assert np.array_equal(cells[:, d], [abs(v) ** 2 for v in vals.ravel()])
+
+
 def test_report_round_trip():
     rep = RunReport()
     rep.put("meta", "command", "bands")
@@ -156,6 +207,64 @@ def test_cmd_decompose_transforms_each_band_once(config_file, monkeypatch):
     rec = transform.reconstruct(psi0, table, range(1, 5), psg, r_c=cfg.r_c)
     assert report.get_float("monitors", "windowed_mass") == mass
     assert report.get_float("monitors", "reconstruction_residual") == l2_distance(rec, psi0)[0]
+
+
+def _counting_synthesize(monkeypatch):
+    """Patch pipeline.synthesize to record every plan it is given."""
+    plans, real = [], pipeline.synthesize
+
+    def counting(plan):
+        plans.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(pipeline, "synthesize", counting)
+    return plans
+
+
+def test_cmd_propagate_synthesizes_each_checkpoint_once(tmp_path, monkeypatch):
+    """propagate.ini (band 1, three checkpoints, reference comparison on):
+    one synthesis for the t = 0 check and one per checkpoint, on the
+    reference grid, serve the written fields and the comparison."""
+    cfg = RunConfig.from_text((CONFIGS / "propagate.ini").read_text())
+    plans = _counting_synthesize(monkeypatch)
+    pipeline.cmd_propagate(cfg, out_dir=str(tmp_path))
+    n_ref = int(round(cfg.length / cfg.eps)) * cfg.ref_x_per_cell
+    assert len(plans) == 4
+    assert [p.out_n_x for p in plans[1:]] == [n_ref] * 3
+
+
+def test_cmd_propagate_fields_equal_per_band_syntheses(config_file, monkeypatch):
+    """bands = 1, 2: each written psi_fga is the field-grid sum of the bands'
+    syntheses, and each vs_reference is band 1's fine-grid synthesis against
+    the reference, both to 1e-13 relative."""
+    path, out = config_file
+    cfg = RunConfig.from_text(path.read_text()).apply_overrides(
+        ["run.bands=1,2", "tolerances.gap_guard_factor=0", "run.compare_reference=true"])
+    plans = _counting_synthesize(monkeypatch)
+    refs, real_ref = {}, pipeline.reference_propagate
+
+    def keeping(*args, **kwargs):
+        refs.update(real_ref(*args, **kwargs))
+        return refs
+
+    monkeypatch.setattr(pipeline, "reference_propagate", keeping)
+    report = pipeline.cmd_propagate(cfg)
+    monkeypatch.undo()
+    n_x = int(round(cfg.length / cfg.eps)) * cfg.x_per_cell
+    checkpoints = cfg.checkpoint_times()
+    assert len(plans) == 2 + 2 * len(checkpoints)    # t = 0 check, then per checkpoint
+    assert int(report.get("monitors", "seeds_band2")) > 0
+    for i, t in enumerate(checkpoints):
+        band1, band2 = plans[2 + 2 * i: 4 + 2 * i]
+        assert (band1.band, band2.band) == (1, 2)
+        label = pipeline._fga_time_label(t)
+        coarse = sum(pipeline.synthesize(replace(p, out_n_x=n_x)).values
+                     for p in (band1, band2))
+        written = WaveField.read(out / f"psi_fga_t{label}.wf").values
+        assert np.abs(written - coarse).max() <= 1e-13 * np.abs(coarse).max()
+        expected = l2_distance(pipeline.synthesize(band1), refs[t])[1]
+        got = report.get_float("errors", f"vs_reference_t{label}")
+        assert abs(got - expected) <= 1e-13 * expected
 
 
 def test_cmd_propagate_and_reports(config_file):

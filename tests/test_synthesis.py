@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from fgabloch.bloch import (BrillouinGrid, berry_connection, dispersion_model,
                             grad_energy, hessian_energy, prepare_band_table,
@@ -11,9 +11,8 @@ from fgabloch.exact import gaussian_evolution
 from fgabloch.potentials import (PeriodicPotential, harmonic_potential,
                                  linear_potential, zero_potential)
 from fgabloch.reference import ReferenceConfig, reference_propagate
-from fgabloch.synthesis import (SynthesisPlan, initial_snapshot,
-                                multi_band_synthesize, synthesize)
-from fgabloch.transform import (PhaseSpaceGrid, SeedSet, band_projection,
+from fgabloch.synthesis import SynthesisPlan, _axis_window, initial_snapshot, synthesize
+from fgabloch.transform import (PhaseSpaceGrid, SeedSet, _truncated_window, band_projection,
                                 phase_grid_for_field, reconstruct, windowed_bloch_transform)
 from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance
 
@@ -52,6 +51,47 @@ def test_t0_synthesis_equals_band_operator(case, free_table128):
                          length=L, out_n_x=n_x, r_c=r_c)
     f0 = synthesize(plan)
     assert l2_distance(f0, proj)[0] <= 1e-10
+
+
+@pytest.mark.parametrize("r_c, length, x_per_cell, span", [
+    (8.0, 4.0, 16, 1450), (8.0, 4.0, 32, 2898), (30.0, 16.0, 16, 5432)])
+def test_axis_window_matches_truncated_window(r_c, length, x_per_cell, span, rng):
+    """The factored window against the direct formula at random Q, p and
+    coefficients: the shipped field- and reference-grid windows (eps = 1/32),
+    and r_c = 30, where expanding about the window's edge instead of its
+    centre overflows exp(k beta) and turns the window into NaN."""
+    eps = 1 / 32
+    n_x = int(round(length / eps)) * x_per_cell
+    out = WaveField(1, eps, length, np.zeros(n_x, complex), 0.0)
+    radius = r_c * np.sqrt(eps)
+    assert int(np.ceil(2 * radius / out.dx)) + 1 == span < n_x
+    Q = rng.uniform(0.0, length, 300)
+    p = rng.uniform(-np.pi, np.pi, 300)
+    coef = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    idx, g = _axis_window(Q, p, coef, span, out, radius)
+    j = np.ceil((Q - radius) / out.dx).astype(int)[:, None] + np.arange(span)
+    ref = coef[:, None] * _truncated_window(j * out.dx - Q[:, None], eps, radius, p[:, None])
+    assert np.isfinite(g).all()
+    assert np.array_equal(idx, j % n_x)
+    assert np.array_equal(g == 0, ref == 0)        # the same truncation
+    assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_initial_snapshot_is_integrator_state_at_t0(d, cos_table128, rng):
+    """initial_snapshot equals integrate_ensemble's t = 0 snapshot field by
+    field, including sigma_min(Z(0)) = sigma_min(2 I) = 2."""
+    table = cos_table128 if d == 1 else prepare_band_table(
+        BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
+    seeds = SeedSet(band=1, eps=1 / 32, q=rng.uniform(0.0, 1.0, (6, d)),
+                    p=rng.uniform(-3.0, 3.0, (6, d)), w=rng.standard_normal(6) + 0j,
+                    weight=1.0, total_points=6)
+    model = HamiltonianModel(dispersion_model(table, 1), harmonic_potential(d, k=1.0))
+    at0 = integrate_ensemble(seeds, model, T=0.0, dt=1e-3, checkpoint_times=[0.0]).at(0.0)
+    snap = initial_snapshot(seeds)
+    assert np.all(snap.sigma_min == 2.0)
+    for f in fields(snap):
+        assert np.array_equal(getattr(snap, f.name), getattr(at0, f.name)), f.name
 
 
 def test_zero_seed_synthesis():
@@ -131,29 +171,6 @@ def test_plan_validation(cos_table128):
     with pytest.raises(PlanError):
         SynthesisPlan(table=cos_table128, band=1, seeds=seeds, snapshot=bad,
                       length=1.0, out_n_x=256)
-    with pytest.raises(PlanError):
-        # mismatched times across plans
-        p1 = SynthesisPlan(table=cos_table128, band=1, seeds=seeds, snapshot=snap,
-                           length=1.0, out_n_x=256)
-        p2 = SynthesisPlan(table=cos_table128, band=2, seeds=seeds,
-                           snapshot=replace(snap, t=0.5), length=1.0, out_n_x=256)
-        multi_band_synthesize([p1, p2])
-    with pytest.raises(PlanError):
-        multi_band_synthesize([])
-
-
-def test_multi_band_reduces_to_single(cos_table128):
-    eps, L = 1 / 32, 1.0
-    n_x = int(L / eps) * 16
-    psi0, _, _ = _normalized_packet(cos_table128, eps, L, n_x, 0.5, 0.8)
-    psg = phase_grid_for_field(psi0, cos_table128)
-    wc = windowed_bloch_transform(psi0, cos_table128, 1, psg)
-    seeds = wc.to_seeds(1e-8)
-    plan = SynthesisPlan(table=cos_table128, band=1, seeds=seeds,
-                         snapshot=initial_snapshot(seeds), length=L, out_n_x=n_x)
-    single = synthesize(plan)
-    total = multi_band_synthesize([plan])
-    assert np.array_equal(total.values, single.values)
 
 
 def test_edge_packet_residual_decreases_with_bands(cos_table128):
