@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .errors import (BandIsolationError, CutoffError, GaugeFixError,
                      InvalidInputError, NumericError)
@@ -499,13 +498,24 @@ def band_isolation_check(table: BandTable, n: int, factor: float = 10.0):
             f"threshold {threshold:.4g} (= {factor} * dxi * max|grad E|)")
 
 
-class DispersionModel:
-    """Periodic interpolant of E_n, grad E_n, hess E_n and A_n over Gamma*.
+# cubic B-spline pieces on one cell as power series in u: row r holds the u^r
+# coefficients of the four B-splines centred on nodes j-1, j, j+1, j+2
+_BSPLINE_POWERS = np.array([[1.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 3.0, 0.0],
+                            [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]) / 6.0
 
-    The four node fields are stacked into one interpolant, so `query`
-    returns all of them from a single evaluation.  Queries accept shape
-    (m, d) (or (m,) when d == 1) and wrap into Gamma*.  Interpolation is
-    cubic and periodic.
+
+class DispersionModel:
+    """Periodic cubic spline of E_n, grad E_n, hess E_n and A_n over Gamma*.
+
+    The four node fields are stacked as columns of one tensor-product
+    periodic cubic spline, so `query` returns all of them from a single
+    evaluation, with one code path for every d.  On the uniform periodic
+    grid the spline system is circulant: dividing the FFT of the node values
+    along each axis by (2 + cos(2 pi k/M))/3 gives the B-spline coefficients
+    (Unser, Aldroubi & Eden, IEEE TPAMI 13 (1991) 277).  They are stored as
+    per-cell power-basis coefficients and evaluated by Horner's rule one
+    axis at a time.  Queries accept shape (m, d) (or (m,) when d == 1) and
+    wrap into Gamma*.
     """
 
     def __init__(self, table: BandTable, n: int):
@@ -518,47 +528,49 @@ class DispersionModel:
         nb1 = table.band_index(n)
         g = table.grid
         d = self.dimension = g.dimension
+        M = g.nodes_per_axis
         self._raw_hess = table.hess_e[:, nb1]
         # columns: E | grad E (d) | hess E (d*d, row-major) | A (d)
-        stacked = np.concatenate(
+        coef = np.concatenate(
             [table.energies[:, nb1, None], table.grad_e[:, nb1],
              table.hess_e[:, nb1].reshape(-1, d * d), table.berry[:, nb1]],
             axis=1).reshape(g.shape + (-1,))
-        if d == 1:
-            ax = np.append(g.axis_nodes, np.pi)
-            spline = CubicSpline(ax, np.concatenate([stacked, stacked[:1]], axis=0),
-                                 axis=0, bc_type="periodic")
-            self._interp = lambda q: spline(q[:, 0])
-        else:
-            pad = 4
-            ext = np.arange(-pad, g.nodes_per_axis + pad)
-            ax = -np.pi + g.spacing * ext
-            take = ext % g.nodes_per_axis
-            self._interp = RegularGridInterpolator(
-                (ax, ax), stacked[np.ix_(take, take)], method="cubic", bounds_error=True)
+        lam = (2.0 + np.cos(TWO_PI * np.arange(M) / M)) / 3.0
+        for a in range(d):
+            lam_a = lam.reshape((M,) + (1,) * (coef.ndim - a - 1))
+            coef = np.fft.ifft(np.fft.fft(coef, axis=a) / lam_a, axis=a).real
+            taps = [np.roll(coef, 1 - m, axis=a) for m in range(4)]
+            coef = np.stack([sum(w * t for w, t in zip(row, taps))
+                             for row in _BSPLINE_POWERS], axis=d + a)
+        # (4^d, M^d, columns): a gather along axis 1 leaves each power's block
+        # contiguous, so Horner's rule runs on whole (m, columns) slabs
+        self._cells = np.ascontiguousarray(
+            np.moveaxis(coef.reshape(g.n_nodes, 4 ** d, -1), 1, 0))
+        self._strides = M ** np.arange(d - 1, -1, -1)
 
     def query(self, p):
-        """(E, grad E, symmetrized hess E, A) at p from one interpolant call;
-        shapes (m,), (m, d), (m, d, d), (m, d)."""
-        p = np.asarray(p, dtype=float)
-        if self.dimension == 1 and (p.ndim == 1 or p.shape[-1] != 1):
-            p = p.reshape(-1, 1)
-        d = self.dimension
-        v = self._interp((p + np.pi) % TWO_PI - np.pi)
-        h = v[:, 1 + d:1 + d + d * d].reshape(-1, d, d)
-        return v[:, 0], v[:, 1:1 + d], 0.5 * (h + np.swapaxes(h, -1, -2)), v[:, 1 + d + d * d:]
-
-    def energy(self, p):
-        return self.query(p)[0]
-
-    def grad(self, p):
-        return self.query(p)[1]
-
-    def hess(self, p):
-        return self.query(p)[2]
-
-    def berry(self, p):
-        return self.query(p)[3]
+        """(E, grad E, hess E, A) at p from one spline evaluation; shapes
+        (m,), (m, d), (m, d, d), (m, d).  A NaN momentum yields NaN values."""
+        d, g = self.dimension, self.table.grid
+        p = np.asarray(p, dtype=float).reshape(-1, d)
+        t = (p + np.pi) % TWO_PI / g.spacing
+        # fmin also sends NaN to the last cell; u then stays NaN
+        cell = np.fmin(t, g.nodes_per_axis - 1).astype(np.intp)
+        u = t - cell
+        v = np.take(self._cells, cell @ self._strides, axis=1)
+        m, cols = v.shape[1:]
+        for a in range(d):
+            v = v.reshape(4, -1, m, cols)
+            ua = np.repeat(u[:, a, None], cols, axis=1)
+            acc = v[3] * ua
+            for r in (2, 1):
+                acc += v[r]
+                acc *= ua
+            acc += v[0]
+            v = acc
+        v = v.reshape(m, cols)
+        return (v[:, 0], v[:, 1:1 + d], v[:, 1 + d:1 + d + d * d].reshape(-1, d, d),
+                v[:, 1 + d + d * d:])
 
     def hess_bound(self, p_lo=None, p_hi=None, pad: float = 0.5) -> float:
         """max |hess E| over nodes within [p_lo - pad, p_hi + pad] per axis.

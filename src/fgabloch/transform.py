@@ -302,10 +302,13 @@ def band_projection(field: WaveField, table: BandTable, n: int, grid: PhaseSpace
         wq = w[:, sl] * np.exp(-1j * (q @ pc.T) / eps)
         acc = _apply_windows(wq.reshape((grid.n_q,) * d + (-1,)), out_field, grid, pc,
                              r_c * np.sqrt(eps), True)
-        cells = _cell_bloch_values(table, n, sl, s)
-        u = np.tile(cells, (1,) + (R,) * d).reshape(cells.shape[0], -1)
-        total += np.sum(u.T * np.exp(1j * (y @ pc.T) / eps) * acc.reshape(y.shape[0], -1),
-                        axis=1)
+        # phase * cell values * acc, in place; the cell values repeat over the R^d cells
+        prod = np.exp(1j * (y @ pc.T) / eps)
+        per_cell = prod.reshape((R, s) * d + (-1,))
+        per_cell *= np.moveaxis(_cell_bloch_values(table, n, sl, s), 0, -1).reshape(
+            (1, s) * d + (-1,))
+        prod *= acc.reshape(prod.shape)
+        total += np.sum(prod, axis=1)
     vals = _norm_const(d, eps) * grid.weight * total
     return out_field.with_values(vals.reshape((n_out,) * d))
 

@@ -147,16 +147,9 @@ def gaussian_packet(dimension: int, eps: float, length: float, n_x: int,
     p_used = p0.copy()
     bloch = 1.0
     if table is not None:
-        from .bloch import nearest_node
-        flat, _, p_used = nearest_node(table.grid, p0)
-        coeffs = table.coeffs[flat, table.band_index(band)]
-        kvecs = table.kvecs().astype(float)
-        bloch = np.zeros(shape, dtype=complex)
-        for c, k in zip(coeffs, kvecs):
-            if c == 0:
-                continue
-            phase = sum(k[a] * mesh[a] for a in range(dimension))
-            bloch += c * np.exp(2j * np.pi * phase / eps)
+        from .bloch import evaluate_bloch_wave, nearest_node
+        _, _, p_used = nearest_node(table.grid, p0)
+        bloch = evaluate_bloch_wave(table, band, p_used, np.stack(mesh, axis=-1) / eps)
 
     # periodized envelope: the packet lives on the torus, so tails wrap
     envelope = np.zeros(shape, dtype=complex)

@@ -352,19 +352,57 @@ def test_isolation_guard_cos_band1(cos_table128):
 def test_dispersion_model_periodic_and_symmetric(cos_table64, rng):
     d = dispersion_model(cos_table64, 1)
     p = rng.uniform(-np.pi, np.pi, size=(32, 1))
-    assert np.allclose(d.energy(p), d.energy(p + TWO_PI), atol=1e-12)
-    assert np.allclose(d.grad(p), d.grad(p + TWO_PI), atol=1e-12)
-    h = d.hess(p)
+    e, g, h, _ = d.query(p)
+    e_shift, g_shift, _, _ = d.query(p + TWO_PI)
+    assert np.allclose(e, e_shift, atol=1e-12)
+    assert np.allclose(g, g_shift, atol=1e-12)
     assert np.allclose(h, np.swapaxes(h, -1, -2))
     # interpolant matches a fresh eigensolve off the nodes (mid-zone)
     xi = np.array([0.7123])
     e_true = np.linalg.eigvalsh(assemble_bloch_hamiltonian(xi, cos_table64.potential, 16))[0]
-    assert abs(d.energy(xi[None, :])[0] - e_true) < 1e-7
+    assert abs(d.query(xi[None, :])[0][0] - e_true) < 1e-7
+
+
+@pytest.mark.parametrize("band", [1, 2])
+def test_dispersion_model_matches_periodic_cubic_spline_1d(cos_table64, rng, band):
+    """The periodic cubic interpolant is unique, so scipy's is an exact oracle."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    t, nb1 = cos_table64, band - 1
+    columns = np.concatenate([t.energies[:, nb1, None], t.grad_e[:, nb1],
+                              t.hess_e[:, nb1, 0], t.berry[:, nb1]], axis=1)
+    nodes = np.append(t.grid.axis_nodes, np.pi)
+    oracle = interpolate.CubicSpline(nodes, np.concatenate([columns, columns[:1]]),
+                                     axis=0, bc_type="periodic")
+    p = rng.uniform(-3 * np.pi, 3 * np.pi, size=1500)
+    want = oracle((p + np.pi) % TWO_PI - np.pi)
+    e, g, h, a = dispersion_model(t, band).query(p)
+    got = np.concatenate([e[:, None], g, h[:, 0], a], axis=1)
+    scale = np.max(np.abs(columns), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_dispersion_model_nan_momentum_gives_nan(cos_table64):
+    values = dispersion_model(cos_table64, 1).query(np.array([[np.nan], [0.3]]))
+    for v in values:
+        assert np.all(np.isnan(v[0])) and np.all(np.isfinite(v[1]))
 
 
 def test_dispersion_model_2d_smoke():
     t = prepare_band_table(BrillouinGrid(2, 16), PeriodicPotential.cosine(2, 0.5), 1, 3)
     d = dispersion_model(t, 1)
     p = np.array([[0.3, -0.4], [2.0, 1.0]])
-    assert np.allclose(d.energy(p), d.energy(p + TWO_PI), atol=1e-10)
-    assert d.hess(p).shape == (2, 2, 2)
+    assert np.allclose(d.query(p)[0], d.query(p + TWO_PI)[0], atol=1e-10)
+    assert d.query(p)[2].shape == (2, 2, 2)
+    # the spline reproduces every node field, and hess E stays exactly symmetric
+    e, g, h, a = d.query(t.grid.node_points())
+    assert np.max(np.abs(e - t.energies[:, 0])) <= 1e-12
+    assert np.max(np.abs(g - t.grad_e[:, 0])) <= 1e-12
+    assert np.max(np.abs(h - t.hess_e[:, 0])) <= 1e-12
+    assert np.max(np.abs(a - t.berry[:, 0])) <= 1e-12
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))
+    # off the nodes the energy matches a fresh eigensolve on a finer grid
+    pot = PeriodicPotential.cosine(2)
+    fine = dispersion_model(prepare_band_table(BrillouinGrid(2, 32), pot, 1, 3), 1)
+    xi = np.array([0.7123, -1.31])
+    e_true = np.linalg.eigvalsh(assemble_bloch_hamiltonian(xi, pot, 3))[0]
+    assert abs(fine.query(xi[None, :])[0][0] - e_true) < 1e-6

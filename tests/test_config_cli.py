@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from fgabloch.errors import ConfigError
 from fgabloch import pipeline
 from fgabloch.wavefield import WaveField, l2_distance
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 BASE_CONFIG = """
 [potential]
@@ -50,6 +53,15 @@ def config_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(BASE_CONFIG.format(out=out))
     return path, out
+
+
+def test_package_import_loads_no_scipy():
+    code = ("import sys, fgabloch, fgabloch.pipeline, fgabloch.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # --- configuration ------------------------------------------------------------

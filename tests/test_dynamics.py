@@ -233,8 +233,8 @@ def test_energy_conservation_band_model(cos_table128):
     res = integrate_ensemble(seeds, model, T=2.0, dt=1e-3)
     snap = res.at(2.0)
     disp = model.dispersion
-    h0 = disp.energy(seeds.p) + model.potential.value(seeds.q)
-    hT = disp.energy(snap.P) + model.potential.value(snap.Q)
+    h0 = disp.query(seeds.p)[0] + model.potential.value(seeds.q)
+    hT = disp.query(snap.P)[0] + model.potential.value(snap.Q)
     assert np.max(np.abs(hT - h0)) <= 1e-8
 
 
