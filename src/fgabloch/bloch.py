@@ -504,6 +504,19 @@ _BSPLINE_POWERS = np.array([[1.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 3.0, 0.0],
                             [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]) / 6.0
 
 
+def _zone_offset(p):
+    """(p + pi) mod 2 pi: bit for bit `(p + pi) % TWO_PI`, about four times faster.
+
+    The two agree while k 2 pi is exact in floating point, with
+    k = floor((p + pi) / 2 pi) (|k| <= 10, so for |p| < 19 pi): the floor of
+    the rounded quotient is then exact, and the one subtraction rounds the
+    same real number as the correction inside `%`.  Beyond that they can
+    differ by one rounding.
+    """
+    y = p + np.pi
+    return y - np.floor(y / TWO_PI) * TWO_PI
+
+
 class DispersionModel:
     """Periodic cubic spline of E_n, grad E_n, hess E_n and A_n over Gamma*.
 
@@ -542,35 +555,38 @@ class DispersionModel:
             taps = [np.roll(coef, 1 - m, axis=a) for m in range(4)]
             coef = np.stack([sum(w * t for w, t in zip(row, taps))
                              for row in _BSPLINE_POWERS], axis=d + a)
-        # (4^d, M^d, columns): a gather along axis 1 leaves each power's block
-        # contiguous, so Horner's rule runs on whole (m, columns) slabs
+        # (4^d, columns, M^d): one gather along the last axis gives Horner's
+        # rule whole rows of length m
         self._cells = np.ascontiguousarray(
-            np.moveaxis(coef.reshape(g.n_nodes, 4 ** d, -1), 1, 0))
-        self._strides = M ** np.arange(d - 1, -1, -1)
+            coef.reshape(g.n_nodes, 4 ** d, -1).transpose(1, 2, 0))
 
     def query(self, p):
         """(E, grad E, hess E, A) at p from one spline evaluation; shapes
-        (m,), (m, d), (m, d, d), (m, d).  A NaN momentum yields NaN values."""
+        (m,), (m, d), (m, d, d), (m, d), as views of rows of length m.  A NaN
+        momentum yields NaN values."""
         d, g = self.dimension, self.table.grid
-        p = np.asarray(p, dtype=float).reshape(-1, d)
-        t = (p + np.pi) % TWO_PI / g.spacing
+        M = g.nodes_per_axis
+        p = np.asarray(p, dtype=float).reshape(-1, d).T
+        t = _zone_offset(p) / g.spacing
         # fmin also sends NaN to the last cell; u then stays NaN
-        cell = np.fmin(t, g.nodes_per_axis - 1).astype(np.intp)
+        cell = np.fmin(t, M - 1).astype(np.intp)
         u = t - cell
-        v = np.take(self._cells, cell @ self._strides, axis=1)
-        m, cols = v.shape[1:]
+        node = cell[0]
+        for a in range(1, d):
+            node = node * M + cell[a]
+        # every node index lies in [0, M^d) by construction: "clip" skips the check
+        v = np.take(self._cells, node, axis=-1, mode="clip")
+        m = v.shape[-1]
         for a in range(d):
-            v = v.reshape(4, -1, m, cols)
-            ua = np.repeat(u[:, a, None], cols, axis=1)
-            acc = v[3] * ua
+            v = v.reshape(4, -1, m)
+            acc = v[3] * u[a]
             for r in (2, 1):
                 acc += v[r]
-                acc *= ua
+                acc *= u[a]
             acc += v[0]
             v = acc
-        v = v.reshape(m, cols)
-        return (v[:, 0], v[:, 1:1 + d], v[:, 1 + d:1 + d + d * d].reshape(-1, d, d),
-                v[:, 1 + d + d * d:])
+        return (v[0], v[1:1 + d].T, v[1 + d:1 + d + d * d].T.reshape(-1, d, d),
+                v[1 + d + d * d:].T)
 
     def hess_bound(self, p_lo=None, p_hi=None, pad: float = 0.5) -> float:
         """max |hess E| over nodes within [p_lo - pad, p_hi + pad] per axis.

@@ -21,11 +21,17 @@ Everything is integrated with classic fixed-step RK4; symplecticity of F and
 the lower bound sigma_min(Z) >= sqrt(2) are monitored, not enforced.  P is
 kept unwrapped internally (continuous); wrapped representatives and winding
 counts are exposed on snapshots.
+
+The ensemble is stored structure-of-arrays with the trajectory axis last:
+Q and P as (d, cores, n), F as (2d, 2d, cores, n) and S, phi, b as (n,), so
+every step is made of whole-row operations on rows of length n.  Snapshots
+carry the usual (n, ...) arrays; the transposes happen at checkpoints only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -75,55 +81,63 @@ def wrap_momentum(p):
 
 
 def _z(F):
-    """Z = dz(Q + iP) from the blocks of (batched) F (see the module docstring)."""
-    d = F.shape[-1] // 2
-    return F[..., :d, :d] + F[..., d:, d:] + 1j * (F[..., d:, :d] - F[..., :d, d:])
+    """Z = dz(Q + iP) from the blocks of F laid out (2d, 2d, ...) (see the
+    module docstring)."""
+    d = F.shape[0] // 2
+    return F[:d, :d] + F[d:, d:] + 1j * (F[d:, :d] - F[:d, d:])
 
 
 def _det(Z):
-    """det Z in closed form for (batched) d x d Z, d <= 2."""
-    if Z.shape[-1] == 1:
-        return Z[..., 0, 0]
-    return Z[..., 0, 0] * Z[..., 1, 1] - Z[..., 0, 1] * Z[..., 1, 0]
+    """det Z in closed form for Z laid out (d, d, ...), d <= 2."""
+    if Z.shape[0] == 1:
+        return Z[0, 0]
+    return Z[0, 0] * Z[1, 1] - Z[0, 1] * Z[1, 0]
 
 
 def _sigma_min(Z, det):
     """sigma_min(Z) = |det Z| / sigma_max, with
     sigma_max^2 = (|Z|_F^2 + sqrt(|Z|_F^4 - 4 |det Z|^2)) / 2 for d = 2."""
     mod = np.abs(det)
-    if Z.shape[-1] == 1:
+    if Z.shape[0] == 1:
         return mod
-    fro2 = np.sum(Z.real ** 2 + Z.imag ** 2, axis=(-2, -1))
+    fro2 = np.sum(Z.real ** 2 + Z.imag ** 2, axis=(0, 1))
     smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4.0 * mod ** 2, 0.0)))
     return mod / np.sqrt(smax2)
 
 
 def z_matrix(F: np.ndarray) -> np.ndarray:
-    """Z = dz(Q + iP) from the flow Jacobian blocks.
+    """Z = dz(Q + iP) from the flow Jacobian blocks of (batched) F (..., 2d, 2d).
 
     Raises InvariantViolationError when sigma_min(Z) < 1 (theory guarantees
     sqrt(2) for symplectic F).
     """
-    Z = _z(np.asarray(F, dtype=float))
-    smin = np.min(sigma_min_z(Z))
+    Z = _z(np.moveaxis(np.asarray(F, dtype=float), (-2, -1), (0, 1)))
+    smin = np.min(_sigma_min(Z, _det(Z)))
     if smin < 1.0:
         raise InvariantViolationError(f"sigma_min(Z) = {smin:.6f} < 1")
-    return Z
+    return np.moveaxis(Z, (0, 1), (-2, -1))
 
 
 def sigma_min_z(Z: np.ndarray) -> np.ndarray:
-    """Smallest singular value of (batched) d x d complex Z, d <= 2."""
+    """Smallest singular value of (batched) d x d complex Z (..., d, d), d <= 2."""
+    Z = np.moveaxis(Z, (-2, -1), (0, 1))
     return _sigma_min(Z, _det(Z))
 
 
 def symplectic_residual(F: np.ndarray) -> np.ndarray:
-    """max |F^T J F - J| per trajectory."""
-    d = F.shape[-1] // 2
-    J = np.zeros((2 * d, 2 * d))
-    J[:d, d:] = np.eye(d)
-    J[d:, :d] = -np.eye(d)
-    resid = np.swapaxes(F, -1, -2) @ J @ F - J
-    return np.max(np.abs(resid), axis=(-2, -1))
+    """max |F^T J F - J| per trajectory for F laid out (2d, 2d, ...).
+
+    With F_q, F_p the first and last d rows of F and G = F_q^T F_p,
+    F^T J F = G - G^T: antisymmetric, so only the entries above the diagonal
+    are formed, from row products; there J is 1 at j = i + d and 0 elsewhere.
+    """
+    d = F.shape[0] // 2
+    i, j = np.array(list(combinations(range(2 * d), 2))).T       # i < j
+    Fq, Fp = F[:d], F[d:]
+    resid = ((Fq.take(i, 1) * Fp.take(j, 1)).sum(axis=0)
+             - (Fq.take(j, 1) * Fp.take(i, 1)).sum(axis=0)
+             - (j - i == d).reshape((-1,) + (1,) * (F.ndim - 2)))
+    return np.abs(resid).max(axis=0)
 
 
 # stencil layout for the a1 source terms (d == 1):
@@ -135,69 +149,75 @@ N_STENCIL = 9
 
 
 def _dz(vals, delta):
-    """First dz = d/dq - i d/dp derivative from stencil values (..., 9)."""
-    return ((vals[..., 1] - vals[..., 2]) - 1j * (vals[..., 3] - vals[..., 4])) / (2 * delta)
+    """First dz = d/dq - i d/dp derivative from stencil values (9, ...)."""
+    return ((vals[1] - vals[2]) - 1j * (vals[3] - vals[4])) / (2 * delta)
 
 
 def _dz2(vals, delta):
     """Second dz derivative: dqq - dpp - 2i dqp."""
-    dqq = (vals[..., 1] - 2 * vals[..., 0] + vals[..., 2]) / delta ** 2
-    dpp = (vals[..., 3] - 2 * vals[..., 0] + vals[..., 4]) / delta ** 2
-    dqp = (vals[..., 5] - vals[..., 6] - vals[..., 7] + vals[..., 8]) / (4 * delta ** 2)
+    dqq = (vals[1] - 2 * vals[0] + vals[2]) / delta ** 2
+    dpp = (vals[3] - 2 * vals[0] + vals[4]) / delta ** 2
+    dqp = (vals[5] - vals[6] - vals[7] + vals[8]) / (4 * delta ** 2)
     return dqq - dpp - 2j * dqp
 
 
 def _a1_sources(potential: ExternalPotential, Q, F, upp, delta):
     """Source term src of the first-order amplitude from stencil cores.
 
-    Q, F carry a stencil axis: Q (n, 9, 1), F (n, 9, 2, 2); upp (n, 9) is
-    U'' at Q.  Returns src with d(a1/a0)/dt = i src.
+    Q, F carry the stencil as their cores axis: Q (1, 9, n), F (2, 2, 9, n);
+    upp (9, n) is U'' at Q.  Returns src with d(a1/a0)/dt = i src.
     """
-    dzQ = F[..., 0, 0] - 1j * F[..., 0, 1]              # (n, 9)
-    Zinv = 1.0 / _z(F)[..., 0, 0]
+    dzQ = F[0, 0] - 1j * F[0, 1]                        # (9, n)
+    Zinv = 1.0 / _z(F)[0, 0]
     q_flat = Q.reshape(-1, 1)
-    uppp = potential.third(q_flat)[:, 0, 0, 0].reshape(Q.shape[:2])
-    upppp = potential.fourth(q_flat)[:, 0, 0, 0, 0].reshape(Q.shape[:2])
+    uppp = potential.third(q_flat)[:, 0, 0, 0].reshape(Q.shape[1:])
+    upppp = potential.fourth(q_flat)[:, 0, 0, 0, 0].reshape(Q.shape[1:])
 
     Y = (1.0 - upp) * Zinv
-    term1 = _dz2(Y, delta) * Zinv[:, 0] + _dz(Y, delta) * _dz(Zinv, delta)
+    term1 = _dz2(Y, delta) * Zinv[0] + _dz(Y, delta) * _dz(Zinv, delta)
     W2 = dzQ * uppp * Zinv ** 2
     term2 = _dz(W2, delta)
     G3 = uppp * Zinv
-    term3 = dzQ[:, 0] * _dz(G3, delta) * Zinv[:, 0]
-    term4 = dzQ[:, 0] ** 2 * upppp[:, 0] * Zinv[:, 0] ** 2
+    term3 = dzQ[0] * _dz(G3, delta) * Zinv[0]
+    term4 = dzQ[0] ** 2 * upppp[0] * Zinv[0] ** 2
     return 0.5 * term1 + term2 / 3.0 + term3 / 6.0 - term4 / 8.0
+
+
+def _block_product(M, X, out):
+    """out = M X as row products for M (d, d, ...) and X (d, 2d, ...)."""
+    np.multiply(M[:, 0, None], X[0], out=out)
+    for k in range(1, M.shape[1]):
+        out += M[:, k, None] * X[k]
+    return out
 
 
 def _rhs(model: HamiltonianModel, Q, P, F, delta=None):
     """Time derivatives (dQ, dP, dF, dS, dphi, db) of the ensemble state.
 
-    Q, P (n, cores, d) with P unwrapped, F (n, cores, 2d, 2d); no derivative
+    Q, P (d, cores, n) with P unwrapped, F (2d, 2d, cores, n); no derivative
     depends on S, phi or b.  Core 0 is the trajectory itself; with `delta`
     (the stencil spacing) the N_STENCIL cores carry the a1 stencil and
     db = i src, otherwise db = 0.  E, grad E, hess E and A come from one
-    dispersion query.
+    dispersion query; dF = [[0, hess E], [-hess U, 0]] F is formed from its
+    blocks.
     """
-    d = Q.shape[-1]
-    lead = Q.shape[:2]
-    qf = Q.reshape(-1, d)
-    e, grad_e, hess_e, berry = model.dispersion.query(P.reshape(-1, d))
-    grad_u = model.potential.grad(qf).reshape(Q.shape)
-    hess_u = model.potential.hess(qf).reshape(lead + (d, d))
-    dQ = grad_e.reshape(Q.shape)
+    d, cores, n = Q.shape
+    e, grad_e, hess_e, berry = model.dispersion.query(P.reshape(d, -1).T)
+    qf = Q.reshape(d, -1).T
+    grad_u = model.potential.grad(qf).T.reshape(Q.shape)
+    hess_u = model.potential.hess(qf).transpose(1, 2, 0).reshape(d, d, cores, n)
+    dQ = grad_e.T.reshape(Q.shape)
     dP = -grad_u
-    K = np.zeros(lead + (2 * d, 2 * d))
-    K[..., :d, d:] = hess_e.reshape(lead + (d, d))
-    K[..., d:, :d] = -hess_u
-    dF = K @ F
-    pm, qm = P[:, 0, :], Q[:, 0, :]
-    h = e.reshape(lead)[:, 0] + model.potential.value(qm)
-    dS = np.sum(pm * dQ[:, 0, :], axis=1) - h
-    dphi = -np.sum(berry.reshape(Q.shape)[:, 0] * grad_u[:, 0], axis=-1)
+    dF = np.empty_like(F)
+    _block_product(hess_e.transpose(1, 2, 0).reshape(d, d, cores, n), F[d:], dF[:d])
+    np.negative(_block_product(hess_u, F[:d], dF[d:]), out=dF[d:])
+    h = e.reshape(cores, n)[0] + model.potential.value(Q[:, 0].T)
+    dS = (P[:, 0] * dQ[:, 0]).sum(axis=0) - h
+    dphi = -(berry.T.reshape(Q.shape)[:, 0] * grad_u[:, 0]).sum(axis=0)
     if delta is None:
-        db = np.zeros(lead[0], dtype=complex)
+        db = np.zeros(n, dtype=complex)
     else:
-        db = 1j * _a1_sources(model.potential, Q, F, hess_u[..., 0, 0], delta)
+        db = 1j * _a1_sources(model.potential, Q, F, hess_u[0, 0], delta)
     return dQ, dP, dF, dS, dphi, db
 
 
@@ -308,13 +328,14 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         if t < 0 or t > T + 1e-12:
             raise InvalidInputError(f"checkpoint {t} outside [0, {T}]")
 
-    # state arrays; cores axis holds the main trajectory plus the a1 stencil
-    Q = np.repeat(seeds.q[:, None, :], n_cores, axis=1).astype(float)
-    P = np.repeat(seeds.p[:, None, :], n_cores, axis=1).astype(float)
+    # state rows, trajectory axis last; the cores axis holds the main
+    # trajectory plus the a1 stencil
+    Q = np.repeat(seeds.q.T[:, None, :], n_cores, axis=1).astype(float)
+    P = np.repeat(seeds.p.T[:, None, :], n_cores, axis=1).astype(float)
     if enable_a1:
-        Q += delta * _STENCIL[None, :, 0:1]
-        P += delta * _STENCIL[None, :, 1:2]
-    F = np.broadcast_to(np.eye(2 * d), (n, n_cores, 2 * d, 2 * d)).copy()
+        Q += delta * _STENCIL[:, 0, None]
+        P += delta * _STENCIL[:, 1, None]
+    F = np.broadcast_to(np.eye(2 * d)[:, :, None, None], (2 * d, 2 * d, n_cores, n)).copy()
     S, phi, b = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
     state = (Q, P, F, S, phi, b)
 
@@ -327,7 +348,7 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
 
     def monitor():
         nonlocal det_z, theta
-        fm = F[:, 0]
+        fm = F[:, :, 0]
         Z = _z(fm)
         det = _det(Z)
         theta = theta + np.angle(det * np.conj(det_z))
@@ -336,7 +357,7 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         smin = _sigma_min(Z, det)
         np.maximum(sympl_run, resid, out=sympl_run)
         np.minimum(sigma_run, smin, out=sigma_run)
-        finite = (np.isfinite(Q).all(axis=(1, 2)) & np.isfinite(P).all(axis=(1, 2))
+        finite = (np.isfinite(Q).all(axis=(0, 1)) & np.isfinite(P).all(axis=(0, 1))
                   & np.isfinite(det) & np.isfinite(phi) & np.isfinite(b))
         ok[:] = ok & finite & (smin >= 1.0)
         return resid, smin
@@ -344,8 +365,8 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
     def snap(t, resid, smin):
         a0 = np.sqrt(np.abs(det_z)) * np.exp(1j * (0.5 * theta + phi))
         snapshots[float(t)] = EnsembleSnapshot(
-            t=float(t), Q=Q[:, 0].copy(), P=P[:, 0].copy(), S=S.copy(),
-            F=F[:, 0].copy(), a0=a0, a1=a0 * b,
+            t=float(t), Q=Q[:, 0].T.copy(), P=P[:, 0].T.copy(), S=S.copy(),
+            F=np.moveaxis(F[:, :, 0], -1, 0).copy(), a0=a0, a1=a0 * b,
             sympl_residual=resid, sigma_min=smin, ok=ok.copy())
 
     def stage(k, c):

@@ -139,7 +139,7 @@ class WindowedCoefficients:
             for q, p, w in zip(seeds.q, seeds.p, seeds.w):
                 qs = ",".join(repr(float(v)) for v in q)
                 ps = ",".join(repr(float(v)) for v in p)
-                fh.write(f"{self.band},{qs},{ps},{w.real!r},{w.imag!r}\n")
+                fh.write(f"{self.band},{qs},{ps},{float(w.real)!r},{float(w.imag)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,10 @@ def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.nda
             if not block.any():
                 continue
             b = block.T if adjoint else block
-            acc += (b @ flat).reshape(acc.shape) * np.exp(sign * p[:, a] * shift / eps)
+            term = (b @ flat).reshape(acc.shape)
+            term *= np.exp(sign * p[:, a] * shift / eps)
+            acc += term
+            del term            # not held while the next block is built
         t = np.moveaxis(acc, 0, a)
     return t
 
@@ -303,7 +306,12 @@ def band_projection(field: WaveField, table: BandTable, n: int, grid: PhaseSpace
         acc = _apply_windows(wq.reshape((grid.n_q,) * d + (-1,)), out_field, grid, pc,
                              r_c * np.sqrt(eps), True)
         # phase * cell values * acc, in place; the cell values repeat over the R^d cells
-        prod = np.exp(1j * (y @ pc.T) / eps)
+        # the phase exp(i y.p / eps), exponentiated in place in one complex
+        # buffer; numpy forms 1j * x / eps as i x (1/eps), so the rounding is
+        # that of np.exp(1j * (y @ pc.T) / eps)
+        prod = np.zeros((y.shape[0], pc.shape[0]), dtype=complex)
+        np.multiply(y @ pc.T, 1.0 / eps, out=prod.imag)
+        np.exp(prod, out=prod)
         per_cell = prod.reshape((R, s) * d + (-1,))
         per_cell *= np.moveaxis(_cell_bloch_values(table, n, sl, s), 0, -1).reshape(
             (1, s) * d + (-1,))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fgabloch.bloch import (BrillouinGrid, assemble_bloch_hamiltonian,
+from fgabloch.bloch import (BrillouinGrid, _zone_offset, assemble_bloch_hamiltonian,
                             band_isolation_check, berry_connection, dispersion_model,
                             evaluate_bloch_wave, fix_gauge, grad_energy, hessian_energy,
                             nearest_node, prepare_band_table, shift_coefficients,
@@ -406,3 +406,23 @@ def test_dispersion_model_2d_smoke():
     xi = np.array([0.7123, -1.31])
     e_true = np.linalg.eigvalsh(assemble_bloch_hamiltonian(xi, pot, 3))[0]
     assert abs(fine.query(xi[None, :])[0][0] - e_true) < 1e-6
+
+
+def test_zone_offset_matches_remainder_bit_for_bit(rng):
+    """The spline's zone wrap y - floor(y / 2 pi) 2 pi equals (p + pi) % 2 pi
+    exactly over the range its docstring states: random momenta in +-19 pi and
+    nextafter walks across the zone edges +-pi, +-3 pi, ..., +-17 pi."""
+    walks = []
+    for edge in np.pi * np.arange(1, 19, 2):
+        for centre in (edge, -edge):
+            up, down = [centre], [centre]
+            for _ in range(40):
+                up.append(np.nextafter(up[-1], np.inf))
+                down.append(np.nextafter(down[-1], -np.inf))
+            walks += up + down
+    p = np.concatenate([rng.uniform(-19 * np.pi, 19 * np.pi, 200_000), walks,
+                        [0.0, -0.0, 2 * np.pi, -2 * np.pi]])
+    expect = (p + np.pi) % TWO_PI
+    got = _zone_offset(p)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.all((got >= 0) & (got <= TWO_PI))

@@ -3,7 +3,7 @@ import pytest
 
 from fgabloch.bloch import BrillouinGrid, dispersion_model, prepare_band_table
 from fgabloch.dynamics import (N_STENCIL, HamiltonianModel, _rhs, integrate_ensemble,
-                               sigma_min_z, wrap_momentum, z_matrix)
+                               sigma_min_z, symplectic_residual, wrap_momentum, z_matrix)
 from fgabloch.errors import InvalidInputError, InvariantViolationError, NumericError
 from fgabloch.potentials import (PeriodicPotential, cubic_potential, harmonic_potential,
                                  linear_potential, zero_potential)
@@ -57,8 +57,8 @@ def _rhs_at(model, q, p, F=None):
     """(dQ, dP, dF, dS) of the ensemble right-hand side for one trajectory."""
     F = np.eye(2) if F is None else F
     dQ, dP, dF, dS = _rhs(model, np.full((1, 1, 1), float(q)),
-                          np.full((1, 1, 1), float(p)), F[None, None])[:4]
-    return dQ[0, 0], dP[0, 0], dF[0, 0], dS[0]
+                          np.full((1, 1, 1), float(p)), F[:, :, None, None])[:4]
+    return dQ[:, 0, 0], dP[:, 0, 0], dF[:, :, 0, 0], dS[0]
 
 
 def _seed(qp_list, eps=1 / 64):
@@ -142,6 +142,38 @@ def test_sigma_min_closed_form_matches_svd(rng):
     assert sigma_min_z(2 * np.eye(2)) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_symplectic_residual_closed_form_matches_direct(rng, d):
+    """G - G^T - J from row products against F^T J F - J by matmul, on random
+    batched F laid out (2d, 2d, ...) and symplectic-looking F near I."""
+    J = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    for F in (rng.standard_normal((300, 2 * d, 2 * d)),
+              np.eye(2 * d) + 1e-3 * rng.standard_normal((300, 2 * d, 2 * d))):
+        direct = np.max(np.abs(np.swapaxes(F, -1, -2) @ J @ F - J), axis=(-2, -1))
+        closed = symplectic_residual(np.moveaxis(F, 0, -1))
+        assert closed.shape == (300,)
+        # relative to the size of the terms that cancel in the residual
+        scale = np.max(np.abs(np.swapaxes(F, -1, -2)) @ np.abs(J) @ np.abs(F) + np.abs(J),
+                       axis=(-2, -1))
+        assert np.max(np.abs(closed - direct) / scale) <= 1e-14
+    # leading batch axes beyond one (the cores axis of the ensemble state)
+    F = rng.standard_normal((2 * d, 2 * d, 3, 5))
+    direct = np.max(np.abs(np.einsum("ji...,jk,kl...->il...", F, J, F)
+                           - J[:, :, None, None]), axis=(0, 1))
+    assert np.allclose(symplectic_residual(F), direct, rtol=1e-14, atol=0)
+
+
+def test_integration_leaves_seeds_untouched():
+    """The state is laid out (d, cores, n) from the seeds' transposes; for d = 1
+    such a transpose can be a view, so check the seeds survive integration."""
+    model = HamiltonianModel(FreeDispersion(), cubic_potential(a=1.0))
+    seeds = _seed([(0.3, 0.5), (-0.2, 1.1), (0.7, -0.4)])
+    q0, p0 = seeds.q.copy(), seeds.p.copy()
+    for enable_a1 in (False, True):
+        integrate_ensemble(seeds, model, T=0.05, dt=1e-3, enable_a1=enable_a1)
+        assert np.array_equal(seeds.q, q0) and np.array_equal(seeds.p, p0)
+
+
 @pytest.mark.parametrize("enable_a1", [False, True])
 def test_rhs_makes_one_dispersion_query(enable_a1):
     disp = CountingDispersion()
@@ -151,8 +183,9 @@ def test_rhs_makes_one_dispersion_query(enable_a1):
     assert disp.queries == 4 * 10                   # RK4: four evaluations per step
     disp.queries = 0
     cores = N_STENCIL if enable_a1 else 1
-    _rhs(model, np.zeros((2, cores, 1)), np.zeros((2, cores, 1)),
-         np.broadcast_to(np.eye(2), (2, cores, 2, 2)), 0.01 if enable_a1 else None)
+    _rhs(model, np.zeros((1, cores, 2)), np.zeros((1, cores, 2)),
+         np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, cores, 2)),
+         0.01 if enable_a1 else None)
     assert disp.queries == 1
 
 

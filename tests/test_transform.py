@@ -5,10 +5,10 @@ from fgabloch.bloch import (BrillouinGrid, assemble_bloch_hamiltonian,
                             evaluate_bloch_wave, prepare_band_table, solve_bands)
 from fgabloch.errors import QuadratureRiskError, ResolutionError
 from fgabloch.potentials import PeriodicPotential
-from fgabloch.transform import (PhaseSpaceGrid, _cell_bloch_values, _truncated_window,
-                                band_projection, bloch_transform, gaussian_eval,
-                                parseval_check, phase_grid_for_field, reconstruct,
-                                windowed_bloch_transform)
+from fgabloch.transform import (PhaseSpaceGrid, WindowedCoefficients, _cell_bloch_values,
+                                _truncated_window, band_projection, bloch_transform,
+                                gaussian_eval, parseval_check, phase_grid_for_field,
+                                reconstruct, windowed_bloch_transform)
 from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance, mesh_points
 
 
@@ -339,3 +339,23 @@ def test_reconstruction_worst_case_momentum():
     psg = phase_grid_for_field(psi0, table)
     rec = reconstruct(psi0, table, range(1, 9), psg)
     assert l2_distance(rec, psi0)[1] <= 1e-4
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_coefficients_csv_parses_as_floats_and_round_trips(tmp_path, rng, dimension):
+    """Every cell of the coefficient CSV is a plain float; w comes back exactly."""
+    grid = PhaseSpaceGrid(dimension=dimension, eps=1 / 4, q_start=[0.1] * dimension,
+                          dq=0.25, n_q=3, p_nodes_per_axis=8, c_g=1.6)
+    shape = (3,) * dimension + (8,) * dimension
+    scale = 10.0 ** rng.uniform(-18, 1, shape)       # tiny values print with exponents
+    values = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeffs = WindowedCoefficients(band=2, grid=grid, values=values, eps=1 / 4)
+    path = tmp_path / "coeffs.csv"
+    coeffs.export_csv(path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert table.shape == (values.size, 3 + 2 * dimension)
+    seeds = coeffs.to_seeds(threshold=0.0)
+    assert np.all(table[:, 0] == 2)
+    assert np.array_equal(table[:, 1:1 + dimension], seeds.q)
+    assert np.array_equal(table[:, 1 + dimension:1 + 2 * dimension], seeds.p)
+    assert np.array_equal(table[:, -2] + 1j * table[:, -1], values.ravel())
