@@ -153,8 +153,10 @@ class RunConfig:
             raise ConfigError("x_per_cell must be >= 8")
         if self.ref_x_per_cell < 32:
             raise ConfigError("ref_x_per_cell must be >= 32")
-        if (self.compare_reference and self.dimension == 1
-                and self.ref_x_per_cell % self.x_per_cell):
+        if self.compare_reference and self.dimension != 1:
+            raise ConfigError("compare_reference needs dimension = 1: the reference "
+                              "solver is one-dimensional")
+        if self.compare_reference and self.ref_x_per_cell % self.x_per_cell:
             raise ConfigError(f"compare_reference needs ref_x_per_cell = {self.ref_x_per_cell}"
                               f" to be a multiple of x_per_cell = {self.x_per_cell}")
         if self.ref_dt_divisor < 20:
@@ -180,6 +182,9 @@ class RunConfig:
         for t in self.checkpoints:
             if t < 0 or t > self.t_final + 1e-12:
                 raise ConfigError(f"checkpoint {t} outside [0, T]")
+        if self.lattice_amplitude != 1.0 and self.lattice_spec.strip() != "cosine":
+            raise ConfigError(f"lattice_amplitude = {self.lattice_amplitude!r} scales only "
+                              f"lattice_spec = cosine, not {self.lattice_spec!r}")
         self.lattice()
         self.external()
         return self

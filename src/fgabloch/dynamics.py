@@ -39,6 +39,7 @@ from .bloch import DispersionModel
 from .errors import InvalidInputError, InvariantViolationError, NumericError
 from .potentials import ExternalPotential
 from .transform import SeedSet
+from .wavefield import write_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -272,15 +273,10 @@ class EnsembleResult:
                 + ["t"] + [f"Q{a}" for a in range(d)] + [f"P{a}" for a in range(d)]
                 + ["S", "re_a0", "im_a0", "re_a1", "im_a1",
                    "sympl_residual", "sigma_min_Z"])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.seeds.count):
-                row = (list(self.seeds.q[i]) + list(self.seeds.p[i]) + [snap.t]
-                       + list(snap.Q[i]) + list(pw[i])
-                       + [snap.S[i], snap.a0[i].real, snap.a0[i].imag,
-                          snap.a1[i].real, snap.a1[i].imag,
-                          snap.sympl_residual[i], snap.sigma_min[i]])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, cols, ((*self.seeds.q[i], *self.seeds.p[i], snap.t, *snap.Q[i], *pw[i],
+                                snap.S[i], snap.a0[i].real, snap.a0[i].imag, snap.a1[i].real,
+                                snap.a1[i].imag, snap.sympl_residual[i], snap.sigma_min[i])
+                               for i in range(self.seeds.count)))
 
 
 def stability_dt_max(model: HamiltonianModel, seeds: SeedSet, safety: float = 0.1) -> float:

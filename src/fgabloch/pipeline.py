@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,29 +24,20 @@ from .reference import ReferenceConfig, reference_propagate, reference_steps
 from .synthesis import SynthesisPlan, initial_snapshot, synthesize
 from .transform import (_windowed_mass, band_projection, phase_grid_for_field,
                         windowed_bloch_transform)
-from .wavefield import WaveField, gaussian_packet, l2_distance
+from .wavefield import WaveField, gaussian_packet, l2_distance, write_csv
 
 
 class StageTimer:
-    def __init__(self, report: RunReport):
-        self.report = report
+    """`with timer(name):` records the block's wall time under prefix + name."""
 
+    def __init__(self, report: RunReport, prefix: str = ""):
+        self.report, self.prefix = report, prefix
+
+    @contextmanager
     def __call__(self, name):
-        return _Timing(self.report, name)
-
-
-class _Timing:
-    def __init__(self, report, name):
-        self.report, self.name = report, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.put("timings", self.name,
-                        f"{time.perf_counter() - self.t0:.3f}")
-        return False
+        t0 = time.perf_counter()
+        yield
+        self.report.put("timings", self.prefix + name, f"{time.perf_counter() - t0:.3f}")
 
 
 def effective_m(cfg: RunConfig, eps: float) -> int:
@@ -74,13 +67,15 @@ def build_initial(cfg: RunConfig, table: BandTable, eps: float, n_x: int = None)
         if abs(field.eps - eps) > 1e-15 or abs(field.length - cfg.length) > 1e-12:
             raise NumericError("initial wavefield file does not match eps/L of the run")
         return field.with_values(field.values / field.norm()), None
-    field, p_used = gaussian_packet(cfg.dimension, eps, cfg.length, n_x,
-                                    q0=cfg.q0, p0=cfg.p0, width=cfg.width,
-                                    table=table, band=cfg.bands[0])
-    return field, p_used
+    return gaussian_packet(cfg.dimension, eps, cfg.length, n_x, q0=cfg.q0, p0=cfg.p0,
+                           width=cfg.width, table=table, band=cfg.bands[0])
 
 
-def _reference_sizing_check(cfg: RunConfig, eps: float) -> int:
+def _reference_config(cfg: RunConfig, eps: float) -> ReferenceConfig:
+    """The reference run at eps, refused before any band table is built."""
+    if cfg.dimension != 1:
+        raise ConfigError(f"the reference solver is one-dimensional; got dimension = "
+                          f"{cfg.dimension}")
     n_x = int(round(cfg.length / eps)) * cfg.ref_x_per_cell
     # field + FFT work + phase tables, and the (L/eps) fiber propagators of
     # ref_x_per_cell^2 complex entries each
@@ -90,7 +85,9 @@ def _reference_sizing_check(cfg: RunConfig, eps: float) -> int:
             f"reference grid of {n_x} points needs ~{est_bytes / 2**30:.3g} GiB "
             f"(> limit {cfg.mem_limit_gb} GiB); lower ref_x_per_cell, L/eps, or "
             f"raise tolerances.mem_limit_gb")
-    return n_x
+    return ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
+                           dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
+                           external=cfg.external(), t_final=cfg.t_final)
 
 
 def write_band_csv(table: BandTable, path):
@@ -98,23 +95,16 @@ def write_band_csv(table: BandTable, path):
     nodes = table.grid.node_points()
     cols = (["band"] + [f"xi{a}" for a in range(d)] + ["E"]
             + [f"dE{a}" for a in range(d)] + [f"A{a}" for a in range(d)] + ["min_gap"])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for n in range(table.n_bands):
-            for j in range(table.grid.n_nodes):
-                row = ([n + 1] + list(nodes[j]) + [table.energies[j, n]]
-                       + list(table.grad_e[j, n]) + list(table.berry[j, n])
-                       + [table.min_gap[n]])
-                fh.write(",".join(repr(float(v)) if not isinstance(v, int) else str(v)
-                                  for v in row) + "\n")
+    write_csv(path, cols, ([n + 1, *nodes[j], table.energies[j, n], *table.grad_e[j, n],
+                            *table.berry[j, n], table.min_gap[n]]
+                           for n in range(table.n_bands) for j in range(table.grid.n_nodes)))
 
 
 def write_psi2_csv(field: WaveField, path):
     d = field.dimension
-    with open(path, "w") as fh:
-        fh.write(",".join(["x"] if d == 1 else [f"x{a}" for a in range(d)]) + ",psi2\n")
-        for x, v in zip(field.grid_points(), field.values.ravel()):
-            fh.write(",".join(repr(float(c)) for c in (*x, abs(v) ** 2)) + "\n")
+    cols = (["x"] if d == 1 else [f"x{a}" for a in range(d)]) + ["psi2"]
+    write_csv(path, cols, ((*x, abs(v) ** 2)
+                           for x, v in zip(field.grid_points(), field.values.ravel())))
 
 
 def _new_report(cfg: RunConfig, command: str) -> RunReport:
@@ -152,9 +142,9 @@ def cmd_bands(cfg: RunConfig, out_dir=None) -> RunReport:
     return report
 
 
-def _prepare_stage(cfg: RunConfig, eps: float, report: RunReport, timer: StageTimer):
-    with timer("bands"):
-        table = build_table(cfg, eps)
+def _prepare_stage(cfg: RunConfig, eps: float, table: BandTable, timer: StageTimer):
+    """Isolation check, initial field and one windowed transform per band of
+    cfg.bands: (psi0, p_used, phase-space grid, band -> coefficients)."""
     for n in cfg.bands:
         band_isolation_check(table, n, cfg.gap_guard_factor)
     with timer("initial"):
@@ -163,11 +153,47 @@ def _prepare_stage(cfg: RunConfig, eps: float, report: RunReport, timer: StageTi
         psg = phase_grid_for_field(psi0, table, c_g=cfg.c_g, r_c=cfg.r_c)
         coeffs = {n: windowed_bloch_transform(psi0, table, n, psg, r_c=cfg.r_c)
                   for n in cfg.bands}
+    return psi0, p_used, psg, coeffs
+
+
+def _report_prepared(report: RunReport, table: BandTable, p_used):
     report.put("monitors", "M", table.grid.nodes_per_axis)
     report.put("monitors", "berry_im_diag", table.berry_im_diag)
     if p_used is not None:
         report.put("monitors", "p0_used", " ".join(repr(float(v)) for v in p_used))
-    return table, psi0, psg, coeffs
+
+
+def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs,
+                  rcfg, checkpoints, timer: StageTimer):
+    """Integrate each band of cfg.bands and synthesize it at every checkpoint,
+    on the reference grid if rcfg is given (else on psi0's), where the first
+    band is compared with the reference run from its projection.  Returns
+    band -> (seeds, EnsembleResult), t -> [field per band], t -> l2_distance."""
+    # reference first: no ensemble is alive in its fine-grid projection, the memory peak
+    refs, out_n_x = {}, psi0.n_x
+    if rcfg is not None:
+        with timer("reference"):
+            proj = band_projection(psi0, table, cfg.bands[0], psg, r_c=cfg.r_c,
+                                   coefficients=coeffs[cfg.bands[0]], out_n_x=rcfg.n_x)
+            refs = reference_propagate(proj, rcfg, checkpoint_times=checkpoints)
+        out_n_x = rcfg.n_x
+    results, pot = {}, cfg.external()
+    with timer("integrate"):
+        for n in cfg.bands:
+            seeds = coeffs[n].to_seeds(cfg.seed_threshold)
+            model = HamiltonianModel(dispersion_model(table, n), pot)
+            results[n] = (seeds, integrate_ensemble(
+                seeds, model, T=cfg.t_final, dt=cfg.dt,
+                checkpoint_times=checkpoints, enable_a1=cfg.a1))
+    fields, distances = {}, {}
+    with timer("synthesize"):
+        for t in checkpoints:
+            fields[t] = [synthesize(SynthesisPlan(
+                table=table, band=n, seeds=seeds, snapshot=res.at(t), length=cfg.length,
+                out_n_x=out_n_x, r_c=cfg.r_c)) for n, (seeds, res) in results.items()]
+            if refs:
+                distances[t] = l2_distance(fields[t][0], refs[t])
+    return results, fields, distances
 
 
 def cmd_decompose(cfg: RunConfig, out_dir=None) -> RunReport:
@@ -177,7 +203,10 @@ def cmd_decompose(cfg: RunConfig, out_dir=None) -> RunReport:
     report = _new_report(cfg, "decompose")
     timer = StageTimer(report)
     eps = cfg.eps
-    table, psi0, psg, coeffs = _prepare_stage(cfg, eps, report, timer)
+    with timer("bands"):
+        table = build_table(cfg, eps)
+    psi0, p_used, psg, coeffs = _prepare_stage(cfg, eps, table, timer)
+    _report_prepared(report, table, p_used)
     with timer("export"):
         for n, wc in coeffs.items():
             wc.export_csv(os.path.join(out, f"coeffs_band{n}.csv"))
@@ -217,13 +246,14 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     report = _new_report(cfg, "propagate")
     timer = StageTimer(report)
     eps = cfg.eps
-    compare = cfg.compare_reference and cfg.dimension == 1
-    n_x = _reference_sizing_check(cfg, eps) if compare else None
-    table, psi0, psg, coeffs = _prepare_stage(cfg, eps, report, timer)
-    if compare and n_x % psi0.n_x:
-        raise ConfigError(f"reference grid {n_x} not a multiple of initial field {psi0.n_x}")
+    rcfg = _reference_config(cfg, eps) if cfg.compare_reference else None
+    with timer("bands"):
+        table = build_table(cfg, eps)
+    psi0, p_used, psg, coeffs = _prepare_stage(cfg, eps, table, timer)
+    _report_prepared(report, table, p_used)
+    if rcfg is not None and rcfg.n_x % psi0.n_x:
+        raise ConfigError(f"reference grid {rcfg.n_x} not a multiple of initial field {psi0.n_x}")
     checkpoints = cfg.checkpoint_times()
-    model_pot = cfg.external()
 
     # t = 0 consistency against the band operator, full (unthresholded) seeds;
     # the band projections also give the time-independent truncation residual
@@ -235,10 +265,9 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                                    coefficients=coeffs[n])
             rec = rec + proj.values
             seeds_full = coeffs[n].to_seeds(0.0)
-            plan0 = SynthesisPlan(table=table, band=n, seeds=seeds_full,
-                                  snapshot=initial_snapshot(seeds_full),
-                                  length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c)
-            f0 = synthesize(plan0)
+            f0 = synthesize(SynthesisPlan(table=table, band=n, seeds=seeds_full,
+                                          snapshot=initial_snapshot(seeds_full),
+                                          length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c))
             t0_err = max(t0_err, l2_distance(f0, proj)[0])
         recon_resid = l2_distance(psi0.with_values(rec), psi0)[0]
     report.put("monitors", "t0_consistency", t0_err)
@@ -246,51 +275,32 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
         raise NumericError(
             f"t=0 synthesis deviates from the band operator by {t0_err:.3e} > 1e-10")
 
-    results = {}
-    with timer("integrate"):
-        for n in cfg.bands:
-            seeds = coeffs[n].to_seeds(cfg.seed_threshold)
-            report.put("monitors", f"seeds_band{n}", seeds.count)
-            report.put("monitors", f"grid_points_band{n}", seeds.total_points)
-            model = HamiltonianModel(dispersion_model(table, n), model_pot)
-            results[n] = (seeds, integrate_ensemble(
-                seeds, model, T=cfg.t_final, dt=cfg.dt,
-                checkpoint_times=checkpoints, enable_a1=cfg.a1))
+    results, fields, distances = _evolve_stage(cfg, table, psi0, psg, coeffs, rcfg,
+                                               checkpoints, timer)
+    for n, (seeds, _) in results.items():
+        report.put("monitors", f"seeds_band{n}", seeds.count)
+        report.put("monitors", f"grid_points_band{n}", seeds.total_points)
     report.put("monitors", "max_sympl_residual",
                max(res.max_sympl_residual for _, res in results.values()))
     report.put("monitors", "min_sigma_z",
                min(res.min_sigma_z for _, res in results.values()))
     report.put("monitors", "failed_trajectories",
                sum(res.n_failed for _, res in results.values()))
-
-    if compare:
-        with timer("reference"):
-            proj_ref = band_projection(psi0, table, cfg.bands[0], psg, r_c=cfg.r_c,
-                                       coefficients=coeffs[cfg.bands[0]], out_n_x=n_x)
-            rcfg = ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
-                                   dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
-                                   external=model_pot, t_final=cfg.t_final)
-            refs = reference_propagate(proj_ref, rcfg, checkpoint_times=checkpoints)
+    if rcfg is not None:
         report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
 
-    # one synthesis per band and checkpoint, on the reference grid when comparing
-    # with it; psi_fga_* take the fine field subsampled
-    out_n_x = n_x if compare else psi0.n_x
-    with timer("synthesize"):
+    # psi_fga_* is the band sum, subsampled when synthesized on the reference grid
+    with timer("export"):
         for t in checkpoints:
-            fields = [synthesize(SynthesisPlan(
-                table=table, band=n, seeds=results[n][0], snapshot=results[n][1].at(t),
-                length=cfg.length, out_n_x=out_n_x, r_c=cfg.r_c)) for n in cfg.bands]
             label = _fga_time_label(t)
-            if compare:
-                report.put("errors", f"vs_reference_t{label}",
-                           l2_distance(fields[0], refs[t])[1])
-            total = sum(f.values for f in fields)
-            fga = fields[0].with_values(total[::out_n_x // psi0.n_x])
+            if t in distances:
+                report.put("errors", f"vs_reference_t{label}", distances[t][1])
+            total = sum(f.values for f in fields[t])
+            fga = fields[t][0].with_values(total[::fields[t][0].n_x // psi0.n_x])
             fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
             write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))
-            for n in cfg.bands:
-                results[n][1].export_csv(t, os.path.join(out, f"traj_band{n}_t{label}.csv"))
+            for n, (_, res) in results.items():
+                res.export_csv(t, os.path.join(out, f"traj_band{n}_t{label}.csv"))
     report.put("monitors", "reconstruction_residual", recon_resid)
     _write_report(report, out, "propagate")
     return report
@@ -307,24 +317,19 @@ def cmd_reference(cfg: RunConfig, out_dir=None) -> RunReport:
     report = _new_report(cfg, "reference")
     timer = StageTimer(report)
     eps = cfg.eps
-    n_x = _reference_sizing_check(cfg, eps)
+    rcfg = _reference_config(cfg, eps)
     with timer("bands"):
         table = build_table(cfg, eps)
     with timer("initial"):
-        psi0 = _trig_resample(build_initial(cfg, table, eps, n_x)[0], n_x)
-    rcfg = ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
-                           dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
-                           external=cfg.external(), t_final=cfg.t_final)
+        psi0 = _trig_resample(build_initial(cfg, table, eps, rcfg.n_x)[0], rcfg.n_x)
     checkpoints = cfg.checkpoint_times()
     with timer("propagate"):
         refs = reference_propagate(psi0, rcfg, checkpoint_times=checkpoints)
     report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
-    norm0 = psi0.norm()
     for t in checkpoints:
-        f = refs[t]
-        f.write(os.path.join(out, f"psi_ref_t{_fga_time_label(t)}.wf"))
-        write_psi2_csv(f, os.path.join(out, f"psi2_ref_t{_fga_time_label(t)}.csv"))
-    report.put("monitors", "norm_drift", abs(refs[cfg.t_final].norm() - norm0))
+        refs[t].write(os.path.join(out, f"psi_ref_t{_fga_time_label(t)}.wf"))
+        write_psi2_csv(refs[t], os.path.join(out, f"psi2_ref_t{_fga_time_label(t)}.csv"))
+    report.put("monitors", "norm_drift", abs(refs[cfg.t_final].norm() - psi0.norm()))
     _write_report(report, out, "reference")
     return report
 
@@ -340,58 +345,46 @@ def _trig_resample(field: WaveField, n_x: int) -> WaveField:
     m = field.n_x
     out[: m // 2] = spec[: m // 2]
     out[-(m // 2):] = spec[-(m // 2):]
-    vals = np.fft.ifft(out) * (n_x / m)
-    return WaveField(dimension=1, eps=field.eps, length=field.length,
-                     values=vals, time=field.time)
+    return field.with_values(np.fft.ifft(out) * (n_x / m))
 
 
 def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
-    """FGA vs reference over an eps ladder; observed-order table and PASS flag."""
+    """FGA vs reference over an eps ladder; observed-order table and PASS flag.
+
+    Each rung runs propagate's stages for the first band, with T as the only
+    checkpoint; rungs of one Brillouin size share their band table.  The
+    error of a rung is ||fga - ref|| / ||psi0||.
+    """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     report = _new_report(cfg, "convergence")
-    timer = StageTimer(report)
     if len(cfg.eps_list) < 2:
         raise ConfigError("convergence needs an eps list of at least 2 halving values")
     eps_list = sorted(cfg.eps_list, reverse=True)
     for a, b in zip(eps_list, eps_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigError(f"eps list must halve: got {a} -> {b}")
-    band = cfg.bands[0]
-    pot = cfg.external()
-    lattice = cfg.lattice()
-    errors = []
-    for eps in eps_list:
+    rcfgs = [_reference_config(cfg, eps) for eps in eps_list]
+    rung = replace(cfg, bands=cfg.bands[:1])
+    table, errors = None, []
+    for eps, rcfg in zip(eps_list, rcfgs):
         t_eps0 = time.perf_counter()
-        n_x_ref = _reference_sizing_check(cfg, eps)
-        table = build_table(cfg, eps)
-        band_isolation_check(table, band, cfg.gap_guard_factor)
-        psi0, _ = build_initial(cfg, table, eps)
-        psg = phase_grid_for_field(psi0, table, c_g=cfg.c_g, r_c=cfg.r_c)
-        wc = windowed_bloch_transform(psi0, table, band, psg, r_c=cfg.r_c)
-        seeds = wc.to_seeds(cfg.seed_threshold)
-        proj_ref = band_projection(psi0, table, band, psg, r_c=cfg.r_c,
-                                   coefficients=wc, out_n_x=n_x_ref)
-        rcfg = ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x_ref,
-                               dt=eps / cfg.ref_dt_divisor, lattice=lattice,
-                               external=pot, t_final=cfg.t_final)
-        ref = reference_propagate(proj_ref, rcfg)
+        timer = StageTimer(report, prefix=f"eps_{eps!r}.")
+        # M is nondecreasing down the ladder, and the table depends on eps only through M
+        if table is None or table.grid.nodes_per_axis != effective_m(cfg, eps):
+            with timer("bands"):
+                table = build_table(cfg, eps)
+        psi0, _, psg, coeffs = _prepare_stage(rung, eps, table, timer)
+        results, _, distances = _evolve_stage(rung, table, psi0, psg, coeffs, rcfg,
+                                              [cfg.t_final], timer)
+        res = results[rung.bands[0]][1]
+        errors.append(distances[cfg.t_final][0] / psi0.norm())
         report.put("monitors", f"reference_steps_eps_{eps!r}", reference_steps(rcfg))
-        model = HamiltonianModel(dispersion_model(table, band), pot)
-        res = integrate_ensemble(seeds, model, T=cfg.t_final, dt=cfg.dt,
-                                 enable_a1=cfg.a1)
-        plan = SynthesisPlan(table=table, band=band, seeds=seeds,
-                             snapshot=res.at(cfg.t_final), length=cfg.length,
-                             out_n_x=n_x_ref, r_c=cfg.r_c)
-        fga = synthesize(plan)
-        err = l2_distance(fga, ref)[0] / psi0.norm()
-        errors.append(err)
         report.put("monitors", f"sympl_eps_{eps!r}", res.max_sympl_residual)
         report.put("monitors", f"sigma_min_eps_{eps!r}", res.min_sigma_z)
         report.put("timings", f"eps_{eps!r}", f"{time.perf_counter() - t_eps0:.3f}")
 
-    rows = []
-    orders = []
+    rows, orders = [], []
     for i, eps in enumerate(eps_list):
         flag = "floor" if errors[i] <= cfg.floor_tol else ""
         order = ""
@@ -407,10 +400,8 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
     passed = bool(orders) and mean_order >= 0.8
     status = "PASS" if passed else ("floor" if not orders else "FAIL")
 
-    with open(os.path.join(out, "convergence.csv"), "w") as fh:
-        fh.write("eps,rel_error,observed_order,flag\n")
-        for eps, err, order, flag in rows:
-            fh.write(f"{eps!r},{err!r},{order},{flag}\n")
+    write_csv(os.path.join(out, "convergence.csv"),
+              ["eps", "rel_error", "observed_order", "flag"], rows)
     for eps, err, order, flag in rows:
         report.put("errors", f"E_eps_{eps!r}", err)
     report.put("errors", "mean_order", mean_order)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bloch import BandTable, _cell_eigensolve, _plane_waves
 from .errors import (InvalidInputError, QuadratureRiskError, ResolutionError)
-from .wavefield import WaveField, mesh_points
+from .wavefield import WaveField, mesh_points, write_csv
 
 DEFAULT_CG = 0.5
 DEFAULT_RC = 8.0
@@ -132,14 +132,10 @@ class WindowedCoefficients:
     def export_csv(self, path):
         d = self.grid.dimension
         seeds = self.to_seeds(threshold=0.0)
-        cols_q = ",".join(f"q{a}" for a in range(d))
-        cols_p = ",".join(f"p{a}" for a in range(d))
-        with open(path, "w") as fh:
-            fh.write(f"n,{cols_q},{cols_p},re_w,im_w\n")
-            for q, p, w in zip(seeds.q, seeds.p, seeds.w):
-                qs = ",".join(repr(float(v)) for v in q)
-                ps = ",".join(repr(float(v)) for v in p)
-                fh.write(f"{self.band},{qs},{ps},{float(w.real)!r},{float(w.imag)!r}\n")
+        cols = (["n"] + [f"q{a}" for a in range(d)] + [f"p{a}" for a in range(d)]
+                + ["re_w", "im_w"])
+        write_csv(path, cols, ((self.band, *q, *p, w.real, w.imag)
+                               for q, p, w in zip(seeds.q, seeds.p, seeds.w)))
 
 
 @dataclass(frozen=True)

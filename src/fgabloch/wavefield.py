@@ -1,4 +1,5 @@
-"""Wave fields on the periodic computational domain, and their binary format.
+"""Wave fields on the periodic computational domain, their binary format,
+and the CSV row writer every text export shares.
 
 A WaveField holds complex samples of the wave function on a uniform grid
 over the torus [0, L)^d (no duplicated endpoint), tagged with epsilon and
@@ -22,6 +23,16 @@ def mesh_points(axes) -> np.ndarray:
     """Points of the tensor grid over `axes`, shape (prod of sizes, d), C order."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def write_csv(path, columns, rows):
+    """A header line, then one line per row: integer and string cells as they
+    print, every other cell as the repr of a Python float (exact under float())."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
+                              for v in row) + "\n")
 
 
 def _check_int_ratio(L: float, eps: float):

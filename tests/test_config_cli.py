@@ -11,7 +11,7 @@ from fgabloch.cli import main
 from fgabloch.config import RunConfig, RunReport
 from fgabloch.errors import ConfigError
 from fgabloch import pipeline
-from fgabloch.wavefield import WaveField, l2_distance
+from fgabloch.wavefield import WaveField, l2_distance, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -127,6 +127,36 @@ def test_compare_reference_needs_a_grid_multiple(config_file, tmp_path, capsys):
                                "run.compare_reference=true"])
     with pytest.raises(ConfigError, match="not a multiple of initial field"):
         pipeline.cmd_propagate(cfg)
+
+
+def test_compare_reference_refused_in_2d():
+    """The reference solver is one-dimensional, so a 2D comparison would do
+    nothing: it is a configuration error, not a run without [errors]."""
+    with pytest.raises(ConfigError, match="compare_reference needs dimension = 1"):
+        RunConfig(dimension=2, compare_reference=True).validate()
+    RunConfig(dimension=2).validate()
+
+
+def test_lattice_amplitude_needs_the_cosine_lattice():
+    """lattice_amplitude scales only the built-in cosine lattice; with any
+    other lattice_spec a non-default amplitude is refused, not ignored."""
+    RunConfig(lattice_spec="cosine", lattice_amplitude=3.0).validate()
+    RunConfig(lattice_spec="zero").validate()
+    for spec in ("zero", "1:0.5:0, -1:0.5:0"):
+        with pytest.raises(ConfigError, match="lattice_amplitude = 3.0"):
+            RunConfig(lattice_spec=spec, lattice_amplitude=3.0).validate()
+    with pytest.raises(ConfigError):
+        RunConfig().apply_overrides(["potential.lattice_spec=zero",
+                                     "potential.lattice_amplitude=3"])
+
+
+def test_write_csv_cell_forms(tmp_path):
+    """Python and numpy integers print as integers, strings as they are, and
+    every other cell as the repr of a Python float."""
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [(1, np.int64(2), np.float64(0.1), "floor"), (3, 4.0, np.float32(0.5), "")])
+    assert path.read_text() == "a,b,c,d\n1,2,0.1,floor\n3,4.0,0.5,\n"
 
 
 def test_write_psi2_csv_cells_parse_as_floats(tmp_path, rng):
@@ -301,7 +331,7 @@ def test_cmd_propagate_t0_equals_projection(config_file, tmp_path):
     cfg = RunConfig.from_text(path.read_text())
     cfg.t_final = 0.0
     cfg.checkpoints = (0.0,)
-    from fgabloch.wavefield import WaveField, l2_distance
+    from fgabloch.wavefield import WaveField, l2_distance, write_csv
     from fgabloch.transform import band_projection, phase_grid_for_field
     table = pipeline.build_table(cfg, cfg.eps)
     psi0, _ = pipeline.build_initial(cfg, table, cfg.eps)
@@ -370,6 +400,70 @@ def test_reference_sizing_counts_fiber_propagators(config_file, monkeypatch):
     cfg.eps_list = (0.0625, 0.03125)
     with pytest.raises(ResourceLimitError):
         pipeline.cmd_convergence(cfg)
+
+
+def _counting_build_table(monkeypatch):
+    """Patch pipeline.build_table to record the Brillouin size of every table."""
+    sizes, real = [], pipeline.build_table
+
+    def counting(cfg, eps):
+        table = real(cfg, eps)
+        sizes.append(table.grid.nodes_per_axis)
+        return table
+
+    monkeypatch.setattr(pipeline, "build_table", counting)
+    return sizes
+
+
+def test_reference_commands_refuse_before_any_band_table(tmp_path, monkeypatch):
+    """A 2D reference or convergence run is a configuration error raised
+    before any band table is built, and so is a ladder whose finest rung
+    exceeds the memory limit while the coarser one fits."""
+    sizes = _counting_build_table(monkeypatch)
+    cfg = RunConfig(dimension=2, length=1.0, eps_list=(0.25, 0.125), brillouin_m=32,
+                    cutoff=3, n_bands=2, recon_bands=2, q0=0.5, p0=0.4,
+                    out_dir=str(tmp_path))
+    cfg.validate()
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        pipeline.cmd_convergence(cfg)
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        pipeline.cmd_reference(replace(cfg, eps_list=(0.25,)))
+    # 1D, L = 2: 1,024 and 2,048 reference points need 0.63 and 1.25 MiB
+    from fgabloch.errors import ResourceLimitError
+    one_d = RunConfig(length=2.0, eps_list=(0.0625, 0.03125), mem_limit_gb=1e-3,
+                      out_dir=str(tmp_path))
+    with pytest.raises(ResourceLimitError, match="2048 points"):
+        pipeline.cmd_convergence(one_d)
+    assert sizes == []
+
+
+def test_cmd_convergence_runs_propagate_stages(tmp_path, monkeypatch):
+    """convergence.ini builds one band table per Brillouin size (M = 64 for
+    eps = 1/16, 128 for 1/32 and 1/64), and its eps = 1/16 rung measures the
+    same ||fga - ref|| as propagate with compare_reference, band 1 and T as
+    the only checkpoint, bit for bit."""
+    sizes = _counting_build_table(monkeypatch)
+    distances, real = [], pipeline.l2_distance
+
+    def recording(a, b):
+        out = real(a, b)
+        distances.append((a.n_x, out[0]))
+        return out
+
+    monkeypatch.setattr(pipeline, "l2_distance", recording)
+    cfg = RunConfig.from_text((CONFIGS / "convergence.ini").read_text())
+    report = pipeline.cmd_convergence(cfg, out_dir=str(tmp_path / "convergence"))
+    assert sizes == [64, 128]
+    assert report.get("errors", "status") == "PASS"
+    n_ref = int(round(cfg.length / 0.0625)) * cfg.ref_x_per_cell
+    rung = [d for n_x, d in distances if n_x == n_ref]
+    assert len(rung) == 1
+    distances.clear()
+    prop = cfg.apply_overrides(["numerics.eps_list=0.0625", "run.compare_reference=true",
+                                f"run.checkpoints={cfg.t_final!r}"])
+    assert prop.bands == (1,) and prop.checkpoint_times() == [cfg.t_final]
+    pipeline.cmd_propagate(prop, out_dir=str(tmp_path / "propagate"))
+    assert [d for n_x, d in distances if n_x == n_ref] == rung
 
 
 def test_cmd_convergence_validation(config_file):
