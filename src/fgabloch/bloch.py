@@ -528,7 +528,8 @@ class DispersionModel:
     (Unser, Aldroubi & Eden, IEEE TPAMI 13 (1991) 277).  They are stored as
     per-cell power-basis coefficients and evaluated by Horner's rule one
     axis at a time.  Queries accept shape (m, d) (or (m,) when d == 1) and
-    wrap into Gamma*.
+    wrap into Gamma*.  A query keeps its gathered cells for the next one, so
+    a model is not shared between threads.
     """
 
     def __init__(self, table: BandTable, n: int):
@@ -559,6 +560,9 @@ class DispersionModel:
         # rule whole rows of length m
         self._cells = np.ascontiguousarray(
             coef.reshape(g.n_nodes, 4 ** d, -1).transpose(1, 2, 0))
+        # the last query's node per point and its gathered cells
+        self._last_node = np.empty(0, dtype=np.intp)
+        self._last_cells = self._cells[..., :0]
 
     def query(self, p):
         """(E, grad E, hess E, A) at p from one spline evaluation; shapes
@@ -574,9 +578,19 @@ class DispersionModel:
         node = cell[0]
         for a in range(1, d):
             node = node * M + cell[a]
-        # every node index lies in [0, M^d) by construction: "clip" skips the check
-        v = np.take(self._cells, node, axis=-1, mode="clip")
-        m = v.shape[-1]
+        # re-gather only the cells that changed since the last query (all of
+        # them at a new batch size); every node index lies in [0, M^d) by
+        # construction, so "clip" skips the check
+        m = node.shape[0]
+        if self._last_node.shape[0] != m:
+            self._last_node = np.full(m, -1, dtype=np.intp)
+            self._last_cells = np.empty(self._cells.shape[:2] + (m,))
+        moved = np.flatnonzero(node != self._last_node)
+        if moved.size:
+            fresh = node[moved]
+            self._last_cells[..., moved] = np.take(self._cells, fresh, axis=-1, mode="clip")
+            self._last_node[moved] = fresh
+        v = self._last_cells
         for a in range(d):
             v = v.reshape(4, -1, m)
             acc = v[3] * u[a]

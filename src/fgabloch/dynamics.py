@@ -23,14 +23,19 @@ kept unwrapped internally (continuous); wrapped representatives and winding
 counts are exposed on snapshots.
 
 The ensemble is stored structure-of-arrays with the trajectory axis last:
-Q and P as (d, cores, n), F as (2d, 2d, cores, n) and S, phi, b as (n,), so
-every step is made of whole-row operations on rows of length n.  Snapshots
-carry the usual (n, ...) arrays; the transposes happen at checkpoints only.
+Q and P as (d, cores, n), F as (2d, 2d, cores, n) and S, phi, b as (n,), all
+views of one flat float buffer (b over 2n floats).  The state, the four RK4
+slopes and one stage buffer are allocated once per integration; `_rhs`
+writes into a slope's views, each stage is one scale-and-add over the
+Q, P, F prefix and the update one pass of whole-buffer operations, in the
+order y += (h/6)(((k1 + 2 k2) + 2 k3) + k4).  Snapshots carry the usual
+(n, ...) arrays; the transposes happen at checkpoints only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -125,6 +130,15 @@ def sigma_min_z(Z: np.ndarray) -> np.ndarray:
     return _sigma_min(Z, _det(Z))
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(d):
+    """Row indices (i, j), i < j, of the entries above the diagonal of a
+    2d x 2d matrix, and where J has its 1 among them (j = i + d); built once
+    per d, not at every monitored step."""
+    i, j = np.array(list(combinations(range(2 * d), 2))).T
+    return i, j, j - i == d
+
+
 def symplectic_residual(F: np.ndarray) -> np.ndarray:
     """max |F^T J F - J| per trajectory for F laid out (2d, 2d, ...).
 
@@ -133,11 +147,11 @@ def symplectic_residual(F: np.ndarray) -> np.ndarray:
     are formed, from row products; there J is 1 at j = i + d and 0 elsewhere.
     """
     d = F.shape[0] // 2
-    i, j = np.array(list(combinations(range(2 * d), 2))).T       # i < j
+    i, j, on_j = _upper_pairs(d)
     Fq, Fp = F[:d], F[d:]
     resid = ((Fq.take(i, 1) * Fp.take(j, 1)).sum(axis=0)
              - (Fq.take(j, 1) * Fp.take(i, 1)).sum(axis=0)
-             - (j - i == d).reshape((-1,) + (1,) * (F.ndim - 2)))
+             - on_j.reshape((-1,) + (1,) * (F.ndim - 2)))
     return np.abs(resid).max(axis=0)
 
 
@@ -192,34 +206,46 @@ def _block_product(M, X, out):
     return out
 
 
-def _rhs(model: HamiltonianModel, Q, P, F, delta=None):
-    """Time derivatives (dQ, dP, dF, dS, dphi, db) of the ensemble state.
+def _state(d, cores, n):
+    """One zeroed flat buffer and its views (Q, P, F, S, phi, b): Q, P
+    (d, cores, n), F (2d, 2d, cores, n), S, phi (n,) and b (n,) complex over
+    the last 2n floats.  Q, P and F, which every derivative reads, come first."""
+    ends = np.cumsum([0, d * cores * n, d * cores * n, 4 * d * d * cores * n, n, n, 2 * n])
+    buf = np.zeros(ends[-1])
+    Q, P, F, S, phi, b = (buf[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    return buf, (Q.reshape(d, cores, n), P.reshape(d, cores, n),
+                 F.reshape(2 * d, 2 * d, cores, n), S, phi, b.view(complex))
+
+
+def _rhs(model: HamiltonianModel, Q, P, F, delta=None, out=None):
+    """Time derivatives (dQ, dP, dF, dS, dphi, db) of the ensemble state,
+    written into `out` (the views of a `_state` buffer; a new one if None).
 
     Q, P (d, cores, n) with P unwrapped, F (2d, 2d, cores, n); no derivative
     depends on S, phi or b.  Core 0 is the trajectory itself; with `delta`
     (the stencil spacing) the N_STENCIL cores carry the a1 stencil and
-    db = i src, otherwise db = 0.  E, grad E, hess E and A come from one
-    dispersion query; dF = [[0, hess E], [-hess U, 0]] F is formed from its
-    blocks.
+    db = i src, otherwise db is left as it is (zero in a new buffer).  E,
+    grad E, hess E and A come from one dispersion query;
+    dF = [[0, hess E], [-hess U, 0]] F is formed from its blocks.
     """
     d, cores, n = Q.shape
+    if out is None:
+        out = _state(d, cores, n)[1]
+    dQ, dP, dF, dS, dphi, db = out
     e, grad_e, hess_e, berry = model.dispersion.query(P.reshape(d, -1).T)
     qf = Q.reshape(d, -1).T
     grad_u = model.potential.grad(qf).T.reshape(Q.shape)
     hess_u = model.potential.hess(qf).transpose(1, 2, 0).reshape(d, d, cores, n)
-    dQ = grad_e.T.reshape(Q.shape)
-    dP = -grad_u
-    dF = np.empty_like(F)
+    dQ[...] = grad_e.T.reshape(Q.shape)
+    np.negative(grad_u, out=dP)
     _block_product(hess_e.transpose(1, 2, 0).reshape(d, d, cores, n), F[d:], dF[:d])
     np.negative(_block_product(hess_u, F[:d], dF[d:]), out=dF[d:])
     h = e.reshape(cores, n)[0] + model.potential.value(Q[:, 0].T)
-    dS = (P[:, 0] * dQ[:, 0]).sum(axis=0) - h
-    dphi = -(berry.T.reshape(Q.shape)[:, 0] * grad_u[:, 0]).sum(axis=0)
-    if delta is None:
-        db = np.zeros(n, dtype=complex)
-    else:
-        db = 1j * _a1_sources(model.potential, Q, F, hess_u[0, 0], delta)
-    return dQ, dP, dF, dS, dphi, db
+    np.subtract((P[:, 0] * dQ[:, 0]).sum(axis=0), h, out=dS)
+    np.negative((berry.T.reshape(Q.shape)[:, 0] * grad_u[:, 0]).sum(axis=0), out=dphi)
+    if delta is not None:
+        np.multiply(1j, _a1_sources(model.potential, Q, F, hess_u[0, 0], delta), out=db)
+    return out
 
 
 @dataclass
@@ -273,10 +299,10 @@ class EnsembleResult:
                 + ["t"] + [f"Q{a}" for a in range(d)] + [f"P{a}" for a in range(d)]
                 + ["S", "re_a0", "im_a0", "re_a1", "im_a1",
                    "sympl_residual", "sigma_min_Z"])
-        write_csv(path, cols, ((*self.seeds.q[i], *self.seeds.p[i], snap.t, *snap.Q[i], *pw[i],
-                                snap.S[i], snap.a0[i].real, snap.a0[i].imag, snap.a1[i].real,
-                                snap.a1[i].imag, snap.sympl_residual[i], snap.sigma_min[i])
-                               for i in range(self.seeds.count)))
+        write_csv(path, cols, [*self.seeds.q.T, *self.seeds.p.T,
+                               np.full(self.seeds.count, snap.t), *snap.Q.T, *pw.T, snap.S,
+                               snap.a0.real, snap.a0.imag, snap.a1.real, snap.a1.imag,
+                               snap.sympl_residual, snap.sigma_min])
 
 
 def stability_dt_max(model: HamiltonianModel, seeds: SeedSet, safety: float = 0.1) -> float:
@@ -324,16 +350,19 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         if t < 0 or t > T + 1e-12:
             raise InvalidInputError(f"checkpoint {t} outside [0, {T}]")
 
-    # state rows, trajectory axis last; the cores axis holds the main
-    # trajectory plus the a1 stencil
-    Q = np.repeat(seeds.q.T[:, None, :], n_cores, axis=1).astype(float)
-    P = np.repeat(seeds.p.T[:, None, :], n_cores, axis=1).astype(float)
+    # the state y, the slopes k1..k4 and the stage ys are one flat buffer
+    # each (see _state); the cores axis holds the main trajectory plus the a1
+    # stencil
+    y, (Q, P, F, S, phi, b) = _state(d, n_cores, n)
+    Q[...] = seeds.q.T[:, None, :]
+    P[...] = seeds.p.T[:, None, :]
     if enable_a1:
         Q += delta * _STENCIL[:, 0, None]
         P += delta * _STENCIL[:, 1, None]
-    F = np.broadcast_to(np.eye(2 * d)[:, :, None, None], (2 * d, 2 * d, n_cores, n)).copy()
-    S, phi, b = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
-    state = (Q, P, F, S, phi, b)
+    F[...] = np.eye(2 * d)[:, :, None, None]
+    flow = Q.size + P.size + F.size
+    (k1, k1_views), (k2, k2_views), (k3, k3_views), (k4, k4_views), (ys, ys_views) = (
+        _state(d, n_cores, n) for _ in range(5))
 
     det_z = np.full(n, 2.0 ** d, dtype=complex)
     theta = np.zeros(n)                 # arg det Z, continuous from det Z(0) = 2^d
@@ -365,9 +394,11 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
             F=np.moveaxis(F[:, :, 0], -1, 0).copy(), a0=a0, a1=a0 * b,
             sympl_residual=resid, sigma_min=smin, ok=ok.copy())
 
-    def stage(k, c):
+    def stage(k, c, out):
         # the derivatives read (Q, P, F) only: stage just those
-        return _rhs(model, *(y + c * dy for y, dy in zip(state[:3], k)), delta)
+        np.multiply(k[:flow], c, out=ys[:flow])
+        ys[:flow] += y[:flow]
+        _rhs(model, *ys_views[:3], delta, out)
 
     t_now = 0.0
     if any(abs(c) < 1e-12 for c in checkpoints):
@@ -379,12 +410,18 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         n_steps = max(1, int(round(seg / dt)))
         h = seg / n_steps
         for _ in range(n_steps):
-            k1 = _rhs(model, Q, P, F, delta)
-            k2 = stage(k1, 0.5 * h)
-            k3 = stage(k2, 0.5 * h)
-            k4 = stage(k3, h)
-            for y, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4):
-                y += (h / 6) * (d1 + 2 * d2 + 2 * d3 + d4)
+            _rhs(model, Q, P, F, delta, k1_views)
+            stage(k1, 0.5 * h, k2_views)
+            stage(k2, 0.5 * h, k3_views)
+            stage(k3, h, k4_views)
+            # y += (h/6) (((k1 + 2 k2) + 2 k3) + k4), in that order, on every row at once
+            np.multiply(k2, 2, out=ys)
+            k1 += ys
+            np.multiply(k3, 2, out=ys)
+            k1 += ys
+            k1 += k4
+            k1 *= h / 6
+            y += k1
             watched = monitor()
         t_now = target
         snap(t_now, *watched)

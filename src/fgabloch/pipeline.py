@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -95,16 +94,22 @@ def write_band_csv(table: BandTable, path):
     nodes = table.grid.node_points()
     cols = (["band"] + [f"xi{a}" for a in range(d)] + ["E"]
             + [f"dE{a}" for a in range(d)] + [f"A{a}" for a in range(d)] + ["min_gap"])
-    write_csv(path, cols, ([n + 1, *nodes[j], table.energies[j, n], *table.grad_e[j, n],
-                            *table.berry[j, n], table.min_gap[n]]
-                           for n in range(table.n_bands) for j in range(table.grid.n_nodes)))
+    # one row per (band, node), the nodes of band 1 first
+    n_nodes = table.grid.n_nodes
+    write_csv(path, cols, [np.repeat(np.arange(1, table.n_bands + 1), n_nodes),
+                           *np.tile(nodes, (table.n_bands, 1)).T, table.energies.T.ravel(),
+                           *table.grad_e.transpose(2, 1, 0).reshape(d, -1),
+                           *table.berry.transpose(2, 1, 0).reshape(d, -1),
+                           np.repeat(table.min_gap, n_nodes)])
 
 
 def write_psi2_csv(field: WaveField, path):
     d = field.dimension
     cols = (["x"] if d == 1 else [f"x{a}" for a in range(d)]) + ["psi2"]
-    write_csv(path, cols, ((*x, abs(v) ** 2)
-                           for x, v in zip(field.grid_points(), field.values.ravel())))
+    v = field.values.ravel()
+    # |v|^2 as the scalar abs(v) ** 2 rounds it: np.abs and ** 2 on arrays
+    # differ from it in the last bit of some cells, hypot and float_power do not
+    write_csv(path, cols, [*field.grid_points().T, np.float_power(np.hypot(v.real, v.imag), 2)])
 
 
 def _new_report(cfg: RunConfig, command: str) -> RunReport:
@@ -165,18 +170,19 @@ def _report_prepared(report: RunReport, table: BandTable, p_used):
 
 def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs,
                   rcfg, checkpoints, timer: StageTimer):
-    """Integrate each band of cfg.bands and synthesize it at every checkpoint,
-    on the reference grid if rcfg is given (else on psi0's), where the first
-    band is compared with the reference run from its projection.  Returns
-    band -> (seeds, EnsembleResult), t -> [field per band], t -> l2_distance."""
+    """Integrate each band of cfg.bands and synthesize it at every checkpoint
+    on psi0's grid; if rcfg is given, the first band is synthesized on the
+    reference grid instead and compared with the reference run from its
+    projection.  Returns band -> (seeds, EnsembleResult),
+    t -> [field per band], t -> l2_distance."""
     # reference first: no ensemble is alive in its fine-grid projection, the memory peak
-    refs, out_n_x = {}, psi0.n_x
+    refs, compared_n_x = {}, psi0.n_x
     if rcfg is not None:
         with timer("reference"):
             proj = band_projection(psi0, table, cfg.bands[0], psg, r_c=cfg.r_c,
                                    coefficients=coeffs[cfg.bands[0]], out_n_x=rcfg.n_x)
             refs = reference_propagate(proj, rcfg, checkpoint_times=checkpoints)
-        out_n_x = rcfg.n_x
+        compared_n_x = rcfg.n_x
     results, pot = {}, cfg.external()
     with timer("integrate"):
         for n in cfg.bands:
@@ -190,7 +196,8 @@ def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs
         for t in checkpoints:
             fields[t] = [synthesize(SynthesisPlan(
                 table=table, band=n, seeds=seeds, snapshot=res.at(t), length=cfg.length,
-                out_n_x=out_n_x, r_c=cfg.r_c)) for n, (seeds, res) in results.items()]
+                out_n_x=compared_n_x if n == cfg.bands[0] else psi0.n_x, r_c=cfg.r_c))
+                for n, (seeds, res) in results.items()]
             if refs:
                 distances[t] = l2_distance(fields[t][0], refs[t])
     return results, fields, distances
@@ -289,14 +296,15 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     if rcfg is not None:
         report.put("monitors", "reference_steps", reference_steps(rcfg, checkpoints))
 
-    # psi_fga_* is the band sum, subsampled when synthesized on the reference grid
+    # psi_fga_* is the band sum on psi0's grid, the compared band subsampled
+    # from the reference grid
     with timer("export"):
         for t in checkpoints:
             label = _fga_time_label(t)
             if t in distances:
                 report.put("errors", f"vs_reference_t{label}", distances[t][1])
-            total = sum(f.values for f in fields[t])
-            fga = fields[t][0].with_values(total[::fields[t][0].n_x // psi0.n_x])
+            fga = fields[t][0].with_values(
+                sum(f.values[::f.n_x // psi0.n_x] for f in fields[t]))
             fga.write(os.path.join(out, f"psi_fga_t{label}.wf"))
             write_psi2_csv(fga, os.path.join(out, f"psi2_fga_t{label}.csv"))
             for n, (_, res) in results.items():
@@ -351,9 +359,10 @@ def _trig_resample(field: WaveField, n_x: int) -> WaveField:
 def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
     """FGA vs reference over an eps ladder; observed-order table and PASS flag.
 
-    Each rung runs propagate's stages for the first band, with T as the only
-    checkpoint; rungs of one Brillouin size share their band table.  The
-    error of a rung is ||fga - ref|| / ||psi0||.
+    Each rung runs propagate's stages for the one band of run.bands, with T
+    as the only checkpoint; rungs of one Brillouin size share their band
+    table.  The error of a rung is ||fga - ref|| / ||psi0||.  Settings the
+    ladder would ignore (run.checkpoints, a second band) are refused.
     """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -364,8 +373,12 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
     for a, b in zip(eps_list, eps_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigError(f"eps list must halve: got {a} -> {b}")
+    if cfg.checkpoints:
+        raise ConfigError(f"convergence compares at T only; run.checkpoints = "
+                          f"{list(cfg.checkpoints)} would be ignored")
+    if len(cfg.bands) != 1:
+        raise ConfigError(f"convergence measures one band; run.bands = {list(cfg.bands)}")
     rcfgs = [_reference_config(cfg, eps) for eps in eps_list]
-    rung = replace(cfg, bands=cfg.bands[:1])
     table, errors = None, []
     for eps, rcfg in zip(eps_list, rcfgs):
         t_eps0 = time.perf_counter()
@@ -374,10 +387,10 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
         if table is None or table.grid.nodes_per_axis != effective_m(cfg, eps):
             with timer("bands"):
                 table = build_table(cfg, eps)
-        psi0, _, psg, coeffs = _prepare_stage(rung, eps, table, timer)
-        results, _, distances = _evolve_stage(rung, table, psi0, psg, coeffs, rcfg,
+        psi0, _, psg, coeffs = _prepare_stage(cfg, eps, table, timer)
+        results, _, distances = _evolve_stage(cfg, table, psi0, psg, coeffs, rcfg,
                                               [cfg.t_final], timer)
-        res = results[rung.bands[0]][1]
+        res = results[cfg.bands[0]][1]
         errors.append(distances[cfg.t_final][0] / psi0.norm())
         report.put("monitors", f"reference_steps_eps_{eps!r}", reference_steps(rcfg))
         report.put("monitors", f"sympl_eps_{eps!r}", res.max_sympl_residual)
@@ -401,7 +414,7 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
     status = "PASS" if passed else ("floor" if not orders else "FAIL")
 
     write_csv(os.path.join(out, "convergence.csv"),
-              ["eps", "rel_error", "observed_order", "flag"], rows)
+              ["eps", "rel_error", "observed_order", "flag"], list(zip(*rows)))
     for eps, err, order, flag in rows:
         report.put("errors", f"E_eps_{eps!r}", err)
     report.put("errors", "mean_order", mean_order)

@@ -134,8 +134,8 @@ class WindowedCoefficients:
         seeds = self.to_seeds(threshold=0.0)
         cols = (["n"] + [f"q{a}" for a in range(d)] + [f"p{a}" for a in range(d)]
                 + ["re_w", "im_w"])
-        write_csv(path, cols, ((self.band, *q, *p, w.real, w.imag)
-                               for q, p, w in zip(seeds.q, seeds.p, seeds.w)))
+        write_csv(path, cols, [np.full(seeds.count, self.band), *seeds.q.T, *seeds.p.T,
+                               seeds.w.real, seeds.w.imag])
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,21 @@ def mesh_points(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def write_csv(path, columns, rows):
-    """A header line, then one line per row: integer and string cells as they
-    print, every other cell as the repr of a Python float (exact under float())."""
+def write_csv(path, header, columns):
+    """A header line, then one line per row of the equal-length `columns`.
+    Each column is formatted whole: integer and string columns as their
+    cells print, every other column as the repr of each Python float (exact
+    under float())."""
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype.kind in "iuU":
+            cells.append(map(str, col.tolist()))
+        else:
+            cells.append(map(repr, col.astype(float).tolist()))
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
-                              for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _check_int_ratio(L: float, eps: float):

@@ -387,6 +387,34 @@ def test_dispersion_model_nan_momentum_gives_nan(cos_table64):
         assert np.all(np.isnan(v[0])) and np.all(np.isfinite(v[1]))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_dispersion_model_regather_matches_fresh_model(cos_table64, rng, d):
+    """query re-gathers only the cells whose node moved since its last call:
+    after random moves (within and across cells, and across the zone edge), a
+    batch-size change and a NaN, every output equals a fresh model's query
+    at the same momenta bit for bit."""
+    if d == 1:
+        table = cos_table64
+    else:
+        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 1, 2)
+    model = dispersion_model(table, 1)
+    p = rng.uniform(-np.pi, np.pi, size=(40, d))
+    batches = [p]
+    for scale in (1e-3, 0.2, 2.0):                  # few, some and most cells move
+        moved = p.copy()
+        rows = rng.random(40) < 0.5
+        moved[rows] += scale * rng.standard_normal((rows.sum(), d))
+        batches.append(moved)
+    batches.append(batches[-1][:25])                # a new batch size
+    with_nan = batches[-1].copy()
+    with_nan[3, 0] = np.nan
+    batches += [with_nan, batches[-1]]
+    for q in batches:
+        got, want = model.query(q), dispersion_model(table, 1).query(q)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_dispersion_model_2d_smoke():
     t = prepare_band_table(BrillouinGrid(2, 16), PeriodicPotential.cosine(2, 0.5), 1, 3)
     d = dispersion_model(t, 1)

@@ -151,12 +151,13 @@ def test_lattice_amplitude_needs_the_cosine_lattice():
 
 
 def test_write_csv_cell_forms(tmp_path):
-    """Python and numpy integers print as integers, strings as they are, and
-    every other cell as the repr of a Python float."""
+    """Columns of Python or numpy integers print as integers, of strings as
+    they are, and every other column as the repr of each Python float."""
     path = tmp_path / "cells.csv"
-    write_csv(path, ["a", "b", "c", "d"],
-              [(1, np.int64(2), np.float64(0.1), "floor"), (3, 4.0, np.float32(0.5), "")])
-    assert path.read_text() == "a,b,c,d\n1,2,0.1,floor\n3,4.0,0.5,\n"
+    write_csv(path, ["a", "b", "c", "d", "e"],
+              [[1, 3], np.array([2, 4], dtype=np.int64), [np.float64(0.1), np.float32(0.5)],
+               ["floor", ""], [4.0, np.float64(2.0)]])
+    assert path.read_text() == "a,b,c,d,e\n1,2,0.1,floor,4.0\n3,4,0.5,,2.0\n"
 
 
 def test_write_psi2_csv_cells_parse_as_floats(tmp_path, rng):
@@ -276,9 +277,10 @@ def test_cmd_propagate_synthesizes_each_checkpoint_once(tmp_path, monkeypatch):
 
 
 def test_cmd_propagate_fields_equal_per_band_syntheses(config_file, monkeypatch):
-    """bands = 1, 2: each written psi_fga is the field-grid sum of the bands'
-    syntheses, and each vs_reference is band 1's fine-grid synthesis against
-    the reference, both to 1e-13 relative."""
+    """bands = 1, 2: band 1 is synthesized on the reference grid and band 2
+    on the field grid; each written psi_fga is the field-grid sum of the
+    bands' syntheses, and each vs_reference is band 1's fine-grid synthesis
+    against the reference, both to 1e-13 relative."""
     path, out = config_file
     cfg = RunConfig.from_text(path.read_text()).apply_overrides(
         ["run.bands=1,2", "tolerances.gap_guard_factor=0", "run.compare_reference=true"])
@@ -299,6 +301,8 @@ def test_cmd_propagate_fields_equal_per_band_syntheses(config_file, monkeypatch)
     for i, t in enumerate(checkpoints):
         band1, band2 = plans[2 + 2 * i: 4 + 2 * i]
         assert (band1.band, band2.band) == (1, 2)
+        assert (band1.out_n_x, band2.out_n_x) == (n_x * cfg.ref_x_per_cell // cfg.x_per_cell,
+                                                  n_x)
         label = pipeline._fga_time_label(t)
         coarse = sum(pipeline.synthesize(replace(p, out_n_x=n_x)).values
                      for p in (band1, band2))
@@ -464,6 +468,18 @@ def test_cmd_convergence_runs_propagate_stages(tmp_path, monkeypatch):
     assert prop.bands == (1,) and prop.checkpoint_times() == [cfg.t_final]
     pipeline.cmd_propagate(prop, out_dir=str(tmp_path / "propagate"))
     assert [d for n_x, d in distances if n_x == n_ref] == rung
+
+
+@pytest.mark.parametrize("setting", ["run.checkpoints=0.25", "run.bands=1,2"])
+def test_cli_convergence_refuses_ignored_settings(setting, tmp_path, monkeypatch, capsys):
+    """The ladder compares one band at T: run.checkpoints and a second band
+    would be ignored, so either exits with the configuration code 2 before
+    any band table is built."""
+    sizes = _counting_build_table(monkeypatch)
+    code = main(["convergence", "--config", str(CONFIGS / "convergence.ini"),
+                 "--out", str(tmp_path), "--set", setting])
+    assert code == 2 and sizes == []
+    assert setting.split("=")[0] in capsys.readouterr().err
 
 
 def test_cmd_convergence_validation(config_file):

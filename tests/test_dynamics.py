@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fgabloch.bloch import BrillouinGrid, dispersion_model, prepare_band_table
-from fgabloch.dynamics import (N_STENCIL, HamiltonianModel, _rhs, integrate_ensemble,
-                               sigma_min_z, symplectic_residual, wrap_momentum, z_matrix)
+from fgabloch.dynamics import (_STENCIL, N_STENCIL, HamiltonianModel, _det, _rhs, _sigma_min,
+                               _z, integrate_ensemble, sigma_min_z, symplectic_residual,
+                               wrap_momentum, z_matrix)
 from fgabloch.errors import InvalidInputError, InvariantViolationError, NumericError
 from fgabloch.potentials import (PeriodicPotential, cubic_potential, harmonic_potential,
                                  linear_potential, zero_potential)
@@ -189,6 +190,106 @@ def test_rhs_makes_one_dispersion_query(enable_a1):
     assert disp.queries == 1
 
 
+def _per_component_rk4(seeds, model, T, dt, checkpoint_times, enable_a1=False):
+    """Snapshot fields {t: {name: array}} at t = 0 and every checkpoint, from
+    RK4 with one array per state component (Q, P, F, S, phi, b) and each
+    stage and update formed per component (oracle for the packed state of
+    integrate_ensemble)."""
+    d, n = model.dimension, seeds.count
+    delta = np.sqrt(seeds.eps) / 8.0 if enable_a1 else None
+    cores = N_STENCIL if enable_a1 else 1
+    Q = np.repeat(seeds.q.T[:, None, :], cores, axis=1).astype(float)
+    P = np.repeat(seeds.p.T[:, None, :], cores, axis=1).astype(float)
+    if enable_a1:
+        Q += delta * _STENCIL[:, 0, None]
+        P += delta * _STENCIL[:, 1, None]
+    F = np.broadcast_to(np.eye(2 * d)[:, :, None, None], (2 * d, 2 * d, cores, n)).copy()
+    state = (Q, P, F, np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex))
+    det_z, theta = np.full(n, 2.0 ** d, dtype=complex), np.zeros(n)
+    ok, snaps = np.ones(n, dtype=bool), {}
+
+    def monitor():
+        nonlocal det_z, theta
+        Z = _z(F[:, :, 0])
+        det = _det(Z)
+        theta = theta + np.angle(det * np.conj(det_z))
+        det_z = det
+        smin = _sigma_min(Z, det)
+        finite = (np.isfinite(Q).all(axis=(0, 1)) & np.isfinite(P).all(axis=(0, 1))
+                  & np.isfinite(det) & np.isfinite(state[4]) & np.isfinite(state[5]))
+        ok[:] = ok & finite & (smin >= 1.0)
+        return symplectic_residual(F[:, :, 0]), smin
+
+    def stage(k, c):
+        return _rhs(model, *(y + c * dy for y, dy in zip(state[:3], k)), delta)
+
+    def snap(t, resid, smin):
+        a0 = np.sqrt(np.abs(det_z)) * np.exp(1j * (0.5 * theta + state[4]))
+        snaps[t] = dict(Q=Q[:, 0].T.copy(), P=P[:, 0].T.copy(), S=state[3].copy(),
+                        F=np.moveaxis(F[:, :, 0], -1, 0).copy(), a0=a0, a1=a0 * state[5],
+                        sympl_residual=resid, sigma_min=smin, ok=ok.copy())
+
+    t_now = 0.0
+    snap(0.0, *monitor())
+    for target in sorted({float(T)} | set(checkpoint_times) - {0.0}):
+        seg = target - t_now
+        n_steps = max(1, int(round(seg / dt)))
+        h = seg / n_steps
+        for _ in range(n_steps):
+            k1 = _rhs(model, Q, P, F, delta)
+            k2 = stage(k1, 0.5 * h)
+            k3 = stage(k2, 0.5 * h)
+            k4 = stage(k3, h)
+            for y, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4):
+                y += (h / 6) * (d1 + 2 * d2 + 2 * d3 + d4)
+            resid, smin = monitor()
+        t_now = target
+        snap(target, resid, smin)
+    return snaps
+
+
+@pytest.fixture(scope="module")
+def berry_lattice_model():
+    """2D lattice without inversion symmetry (max |A| about 0.39), harmonic U."""
+    v = PeriodicPotential(dimension=2, coefficients={
+        (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5,
+        (1, 1): -0.3j, (-1, -1): 0.3j, (2, -1): -0.2j, (-2, 1): 0.2j})
+    table = prepare_band_table(BrillouinGrid(2, 32), v, 2, 4)
+    return HamiltonianModel(dispersion_model(table, 1), harmonic_potential(2, k=1.0))
+
+
+@pytest.mark.parametrize("case", ["cos-1d", "berry-2d", "a1"])
+def test_packed_rk4_matches_per_component_oracle(case, cos_table128, berry_lattice_model):
+    """The packed state and whole-buffer RK4 update of integrate_ensemble make
+    the same operations per element as the per-component loop: every
+    snapshot field is equal.  With a1 on, b is updated through its real and
+    imaginary floats, not as complex numbers, so an exact zero of b may
+    differ in sign; np.array_equal compares -0.0 and 0.0 as equal."""
+    if case == "berry-2d":
+        model = berry_lattice_model
+        seeds = SeedSet(band=1, eps=1 / 64, q=np.array([[0.5, -0.3], [-0.4, 0.6], [0.8, 0.2]]),
+                        p=np.array([[0.4, 1.1], [-1.3, 0.2], [2.0, -0.9]]),
+                        w=np.ones(3, complex), weight=1.0, total_points=3)
+    else:
+        # U drives P across many cells (dp = 0.049); with harmonic U the
+        # seeds at q = -2 and q = 1.5 cross the zone edge at +pi and -pi
+        pot = cubic_potential(a=1.0) if case == "a1" else harmonic_potential(1, k=1.0)
+        model = HamiltonianModel(dispersion_model(cos_table128, 1), pot)
+        seeds = _seed([(-2.0, 2.9), (1.5, -2.9), (0.5, 0.3), (0.0, 1.1), (-0.4, -0.7)])
+    T, checkpoints = 0.5, [0.0, 0.25]
+    res = integrate_ensemble(seeds, model, T=T, dt=1e-3, checkpoint_times=checkpoints,
+                             enable_a1=case == "a1")
+    oracle = _per_component_rk4(seeds, model, T, 1e-3, checkpoints, enable_a1=case == "a1")
+    if case == "cos-1d":
+        assert np.any(res.at(T).P > np.pi) and np.any(res.at(T).P < -np.pi)
+    if case == "a1":
+        assert np.all(res.at(T).a1 != 0)
+    for t, fields in oracle.items():
+        snap = res.at(t)
+        for name, want in fields.items():
+            assert np.array_equal(getattr(snap, name), want), (t, name)
+
+
 # --- ensembles ---------------------------------------------------------------
 
 def test_t_zero_checkpoint_is_exact():
@@ -362,14 +463,10 @@ def _a0_log_derivative_oracle(model, seeds, T, dt):
     return y[3]
 
 
-def test_a0_berry_factor_2d_matches_log_derivative_oracle():
+def test_a0_berry_factor_2d_matches_log_derivative_oracle(berry_lattice_model):
     """2D lattice without inversion symmetry (max |A| about 0.39), harmonic U:
     the closed-form a0 = sqrt(det Z) exp(i phi) against the transport ODE."""
-    v = PeriodicPotential(dimension=2, coefficients={
-        (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5,
-        (1, 1): -0.3j, (-1, -1): 0.3j, (2, -1): -0.2j, (-2, 1): 0.2j})
-    table = prepare_band_table(BrillouinGrid(2, 32), v, 2, 4)
-    model = HamiltonianModel(dispersion_model(table, 1), harmonic_potential(2, k=1.0))
+    model = berry_lattice_model
     q = np.array([[0.5, -0.3], [-0.4, 0.6], [0.8, 0.2]])
     p = np.array([[0.4, 1.1], [-1.3, 0.2], [2.0, -0.9]])
     seeds = SeedSet(band=1, eps=1 / 64, q=q, p=p, w=np.ones(3, complex), weight=1.0,
