@@ -14,7 +14,7 @@ The package splits into:
 from .bloch import (BandTable, BrillouinGrid, DispersionModel,
                     assemble_bloch_hamiltonian, band_isolation_check,
                     berry_connection, dispersion_model, evaluate_bloch_wave,
-                    fix_gauge, grad_energy, hessian_energy, prepare_band_table,
+                    fix_gauge, grad_energy, prepare_band_table,
                     solve_bands)
 from .config import RunConfig, RunReport
 from .dynamics import (EnsembleResult, HamiltonianModel, TrajectoryState,

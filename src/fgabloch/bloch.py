@@ -161,7 +161,8 @@ class BandTable:
 
     Node-indexed arrays use the flattened C-order node index of `grid`.
     Fields filled progressively by fix_gauge / berry_connection /
-    grad_energy / hessian_energy are None until computed.
+    grad_energy are None until computed.  Band curvature is not stored:
+    DispersionModel derives it from its grad E spline.
     """
 
     grid: BrillouinGrid
@@ -180,7 +181,6 @@ class BandTable:
     berry_im_diag: float | None = None
     grad_e: np.ndarray | None = None          # (n_nodes, n_bands, d)
     grad_fd_discrepancy: float | None = None
-    hess_e: np.ndarray | None = None          # (n_nodes, n_bands, d, d)
 
     @property
     def n_basis(self) -> int:
@@ -325,13 +325,6 @@ def _derivative_stencil(values: np.ndarray, axis: int, spacing: float) -> np.nda
     return np.moveaxis(out, 0, axis)
 
 
-def _periodic_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Plain centered periodic difference (for gauge-free periodic fields)."""
-    v = np.moveaxis(values, axis, 0)
-    out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * spacing)
-    return np.moveaxis(out, 0, axis)
-
-
 def berry_connection(table: BandTable) -> BandTable:
     """Berry connection samples A_n = Re[i <c, Dc>] = -Im <c, Dc> on the grid.
 
@@ -404,20 +397,6 @@ def grad_energy(table: BandTable, check_sample: int = 256) -> BandTable:
     return replace(table, grad_e=grad, grad_fd_discrepancy=discrepancy)
 
 
-def hessian_energy(table: BandTable) -> BandTable:
-    """Band curvature: centered periodic difference of stored grad E, symmetrized."""
-    if table.grad_e is None:
-        raise InvalidInputError("hessian_energy requires grad_energy output")
-    g = table.grid
-    grad = table.grad_e.reshape(g.shape + (table.n_bands, g.dimension))
-    hess = np.empty(g.shape + (table.n_bands, g.dimension, g.dimension))
-    for axis in range(g.dimension):
-        hess[..., axis, :] = _periodic_derivative(grad, axis, g.spacing)
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return replace(table, hess_e=hess.reshape(g.n_nodes, table.n_bands,
-                                              g.dimension, g.dimension))
-
-
 def nearest_node(grid: BrillouinGrid, xi: np.ndarray):
     """Nearest grid node to each momentum xi in Gamma*, allowing the +pi edge to wrap.
 
@@ -478,8 +457,11 @@ def band_isolation_check(table: BandTable, n: int, factor: float = 10.0):
     """Refuse bands whose minimal gap violates min_gap >= factor*dxi*max|grad E|.
 
     factor <= 0 disables the guard.  Bands flagged unusable (grid-exact
-    crossings) are always refused while the guard is active.
+    crossings) are always refused while the guard is active.  The table
+    needs grad_energy applied.
     """
+    if table.grad_e is None:
+        raise InvalidInputError("band isolation check needs grad_energy applied to the table")
     if factor <= 0:
         return
     nb1 = table.band_index(n)
@@ -487,10 +469,7 @@ def band_isolation_check(table: BandTable, n: int, factor: float = 10.0):
     if not table.usable[nb1]:
         raise BandIsolationError(
             f"band {n} touches a neighboring band at xi={loc} (grid-exact crossing)")
-    if table.grad_e is not None:
-        vmax = float(np.max(np.abs(table.grad_e[:, nb1, :])))
-    else:
-        vmax = float(np.max(np.abs(_gradient_identity(table)[:, nb1, :])))
+    vmax = float(np.max(np.abs(table.grad_e[:, nb1, :])))
     threshold = factor * table.grid.spacing * vmax
     if table.min_gap[nb1] < threshold:
         raise BandIsolationError(
@@ -518,36 +497,36 @@ def _zone_offset(p):
 
 
 class DispersionModel:
-    """Periodic cubic spline of E_n, grad E_n, hess E_n and A_n over Gamma*.
+    """Periodic cubic spline of E_n, grad E_n and A_n over Gamma*, and
+    hess E_n as the symmetrized derivative of the grad E spline.
 
-    The four node fields are stacked as columns of one tensor-product
-    periodic cubic spline, so `query` returns all of them from a single
-    evaluation, with one code path for every d.  On the uniform periodic
-    grid the spline system is circulant: dividing the FFT of the node values
-    along each axis by (2 + cos(2 pi k/M))/3 gives the B-spline coefficients
-    (Unser, Aldroubi & Eden, IEEE TPAMI 13 (1991) 277).  They are stored as
-    per-cell power-basis coefficients and evaluated by Horner's rule one
-    axis at a time.  Queries accept shape (m, d) (or (m,) when d == 1) and
-    wrap into Gamma*.  A query keeps its gathered cells for the next one, so
-    a model is not shared between threads.
+    E, grad E and A are columns of one tensor-product periodic cubic spline,
+    with one code path for every d.  On the uniform periodic grid the spline
+    system is circulant: dividing the FFT of the node values along each axis
+    by (2 + cos(2 pi k/M))/3 gives the B-spline coefficients (Unser,
+    Aldroubi & Eden, IEEE TPAMI 13 (1991) 277).  They are stored as per-cell
+    power-basis coefficients, with the grad E ones differentiated once into
+    d*d hess E columns, so F is the Jacobian of the (Q, P) flow the spline
+    drives.  `query` evaluates all four by Horner's rule one axis at a time.
+    Queries accept shape (m, d) (or (m,) when d == 1) and wrap into Gamma*.
+    A query keeps its gathered cells for the next one, so a model is not
+    shared between threads.
     """
 
     def __init__(self, table: BandTable, n: int):
-        if table.grad_e is None or table.hess_e is None or table.berry is None:
+        if table.grad_e is None or table.berry is None:
             raise InvalidInputError(
-                "dispersion model needs berry_connection, grad_energy and "
-                "hessian_energy applied to the table")
+                "dispersion model needs berry_connection and grad_energy "
+                "applied to the table")
         self.table = table
         self.band = n
         nb1 = table.band_index(n)
         g = table.grid
         d = self.dimension = g.dimension
         M = g.nodes_per_axis
-        self._raw_hess = table.hess_e[:, nb1]
-        # columns: E | grad E (d) | hess E (d*d, row-major) | A (d)
+        # columns: E | grad E (d) | A (d)
         coef = np.concatenate(
-            [table.energies[:, nb1, None], table.grad_e[:, nb1],
-             table.hess_e[:, nb1].reshape(-1, d * d), table.berry[:, nb1]],
+            [table.energies[:, nb1, None], table.grad_e[:, nb1], table.berry[:, nb1]],
             axis=1).reshape(g.shape + (-1,))
         lam = (2.0 + np.cos(TWO_PI * np.arange(M) / M)) / 3.0
         for a in range(d):
@@ -556,6 +535,15 @@ class DispersionModel:
             taps = [np.roll(coef, 1 - m, axis=a) for m in range(4)]
             coef = np.stack([sum(w * t for w, t in zip(row, taps))
                              for row in _BSPLINE_POWERS], axis=d + a)
+        # hess[..., a, b] = d_a grad_b E: along axis a's power axis, the cell
+        # term c_r u^r becomes r c_r u^(r-1) / dxi
+        deriv = np.diag(np.arange(1.0, 4.0), 1) / g.spacing
+        hess = np.stack([np.moveaxis(np.tensordot(deriv, coef[..., 1:1 + d], axes=(1, d + a)),
+                                     0, d + a) for a in range(d)], axis=-2)
+        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        # columns: E | grad E (d) | hess E (d*d, row-major) | A (d)
+        coef = np.concatenate([coef[..., :1 + d], hess.reshape(coef.shape[:-1] + (d * d,)),
+                               coef[..., 1 + d:]], axis=-1)
         # (4^d, columns, M^d): one gather along the last axis gives Horner's
         # rule whole rows of length m
         self._cells = np.ascontiguousarray(
@@ -591,8 +579,10 @@ class DispersionModel:
             self._last_cells[..., moved] = np.take(self._cells, fresh, axis=-1, mode="clip")
             self._last_node[moved] = fresh
         v = self._last_cells
+        columns = v.shape[1]
         for a in range(d):
-            v = v.reshape(4, -1, m)
+            # sized, not -1, so that an empty batch works too
+            v = v.reshape(4, 4 ** (d - 1 - a) * columns, m)
             acc = v[3] * u[a]
             for r in (2, 1):
                 acc += v[r]
@@ -603,7 +593,8 @@ class DispersionModel:
                 v[1 + d + d * d:].T)
 
     def hess_bound(self, p_lo=None, p_hi=None, pad: float = 0.5) -> float:
-        """max |hess E| over nodes within [p_lo - pad, p_hi + pad] per axis.
+        """max |hess E| of the spline at the nodes within [p_lo - pad, p_hi + pad]
+        per axis.
 
         Restricting to the populated momentum range keeps kink artifacts at
         grid-exact crossings (free-band zone edges) out of step-size bounds.
@@ -616,7 +607,9 @@ class DispersionModel:
             mask = np.all((nodes >= lo) & (nodes <= hi), axis=1)
             if not mask.any():
                 mask[:] = True
-        return float(np.max(np.abs(self._raw_hess[mask])))
+        # a cell's (0, ..., 0) power coefficient is its node value
+        d = self.dimension
+        return float(np.max(np.abs(self._cells[0, 1 + d:1 + d + d * d, mask])))
 
 
 def dispersion_model(table: BandTable, n: int) -> DispersionModel:
@@ -625,13 +618,14 @@ def dispersion_model(table: BandTable, n: int) -> DispersionModel:
 
 def prepare_band_table(grid: BrillouinGrid, potential: PeriodicPotential,
                        n_bands: int, cutoff: int, strict_bands=None) -> BandTable:
-    """solve_bands -> fix_gauge -> berry_connection -> grad/hessian, in order.
+    """solve_bands -> fix_gauge -> berry_connection -> grad_energy, in order.
+
+    The table holds E, A and grad E at the nodes; DispersionModel derives
+    hess E from its grad E spline.
 
     `strict_bands` is passed to fix_gauge (default: every band is strict).
     """
     table = solve_bands(grid, potential, n_bands, cutoff)
     table = fix_gauge(table, strict_bands)
     table = berry_connection(table)
-    table = grad_energy(table)
-    table = hessian_energy(table)
-    return table
+    return grad_energy(table)

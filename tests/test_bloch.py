@@ -5,10 +5,9 @@ import pytest
 
 from fgabloch.bloch import (BrillouinGrid, _zone_offset, assemble_bloch_hamiltonian,
                             band_isolation_check, berry_connection, dispersion_model,
-                            evaluate_bloch_wave, fix_gauge, grad_energy, hessian_energy,
-                            nearest_node, prepare_band_table, shift_coefficients,
-                            solve_bands)
-from fgabloch.errors import BandIsolationError, CutoffError, GaugeFixError
+                            evaluate_bloch_wave, fix_gauge, grad_energy, nearest_node,
+                            prepare_band_table, shift_coefficients, solve_bands)
+from fgabloch.errors import BandIsolationError, CutoffError, GaugeFixError, InvalidInputError
 from fgabloch.potentials import PeriodicPotential
 
 TWO_PI = 2 * np.pi
@@ -243,19 +242,30 @@ def test_grad_energy_peak_memory_2d():
     assert peak <= 40e6
 
 
+def _nodes_and_midpoints(grid):
+    """Every node and every cell midpoint of a Brillouin grid, shape (n, d)."""
+    axis = np.sort(np.append(grid.axis_nodes, grid.axis_nodes + grid.spacing / 2))
+    return np.stack(np.meshgrid(*[axis] * grid.dimension, indexing="ij"),
+                    axis=-1).reshape(-1, grid.dimension)
+
+
 def test_hessian_free_interior_identity(free_table128):
-    t = hessian_energy(grad_energy(free_table128))
-    nodes = t.grid.axis_nodes
-    interior = np.abs(np.abs(nodes) - np.pi) > 0.5
-    assert np.max(np.abs(t.hess_e[interior, 0, 0, 0] - 1.0)) < 1e-8
+    """The free band's hess E is 1 away from the zone-edge kink, whose
+    spline ringing decays by 2 - sqrt(3) per node: nodes and cell midpoints
+    with pi - |xi| > 1.0."""
+    p = _nodes_and_midpoints(free_table128.grid)
+    p = p[np.pi - np.abs(p[:, 0]) > 1.0]
+    hess = dispersion_model(free_table128, 1).query(p)[2]
+    assert np.max(np.abs(hess[:, 0, 0] - 1.0)) < 1e-8
 
 
 def test_hessian_2d_free_identity():
-    t = prepare_band_table(BrillouinGrid(2, 16), PeriodicPotential.zero(2), 1, 3)
-    nodes = t.grid.node_points()
-    interior = np.all(np.abs(np.abs(nodes) - np.pi) > 0.8, axis=1) & \
-        np.all(np.abs(nodes) > 0.8, axis=1)
-    hess = t.hess_e[interior, 0]
+    """As in 1D, on a grid fine enough (M = 64) to leave room for the kink's
+    ringing: pi - |xi_a| > 1.8 on each axis, at nodes and cell midpoints."""
+    t = prepare_band_table(BrillouinGrid(2, 64), PeriodicPotential.zero(2), 1, 3)
+    p = _nodes_and_midpoints(t.grid)
+    p = p[np.all(np.pi - np.abs(p) > 1.8, axis=1)]
+    hess = dispersion_model(t, 1).query(p)[2]
     assert np.max(np.abs(hess - np.eye(2))) < 1e-8
 
 
@@ -267,8 +277,29 @@ def test_hessian_vs_second_difference_oracle(cos_table64):
     e = [np.linalg.eigvalsh(assemble_bloch_hamiltonian([xi + s * h], t.potential, 16))[0]
          for s in (-1, 0, 1)]
     oracle = (e[0] - 2 * e[1] + e[2]) / h ** 2
-    # stored hessian comes from grid differencing of grad E: O(dxi^2) accuracy
-    assert abs(t.hess_e[j, 0, 0, 0] - oracle) < 5e-3 * (1 + abs(oracle))
+    # hess E is the derivative of the cubic grad E spline: O(dxi^3) at a node
+    hess = dispersion_model(t, 1).query([xi])[2][0, 0, 0]
+    assert abs(hess - oracle) < 5e-3 * (1 + abs(oracle))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_hess_is_derivative_of_queried_grad(cos_table64, rng, d):
+    """query's hess E is the symmetrized derivative of query's grad E, so F
+    linearizes the very flow that moves Q and P."""
+    if d == 1:
+        table = cos_table64
+    else:
+        table = prepare_band_table(BrillouinGrid(2, 16), PeriodicPotential.cosine(2, 0.5), 1, 3)
+    model = dispersion_model(table, 1)
+    p = rng.uniform(-np.pi, np.pi, size=(200, d))
+    hess = model.query(p)[2].copy()
+    step = 1e-5
+    fd = np.empty_like(hess)
+    for a in range(d):
+        shift = step * np.eye(d)[a]
+        fd[:, a] = (model.query(p + shift)[1] - model.query(p - shift)[1]) / (2 * step)
+    fd = 0.5 * (fd + np.swapaxes(fd, -1, -2))
+    assert np.max(np.abs(hess - fd)) <= 1e-6 * (1 + np.max(np.abs(hess)))
 
 
 # --- bloch wave evaluation ------------------------------------------------
@@ -349,6 +380,13 @@ def test_isolation_guard_cos_band1(cos_table128):
         band_isolation_check(cos_table128, 1, factor=50.0)
 
 
+def test_isolation_guard_needs_grad_e(cos_potential):
+    """The guard reads max|grad E| from the table, so a table without it is refused."""
+    t = fix_gauge(solve_bands(BrillouinGrid(1, 32), cos_potential, 1, 4))
+    with pytest.raises(InvalidInputError):
+        band_isolation_check(t, 1, factor=1.0)
+
+
 def test_dispersion_model_periodic_and_symmetric(cos_table64, rng):
     d = dispersion_model(cos_table64, 1)
     p = rng.uniform(-np.pi, np.pi, size=(32, 1))
@@ -365,20 +403,34 @@ def test_dispersion_model_periodic_and_symmetric(cos_table64, rng):
 
 @pytest.mark.parametrize("band", [1, 2])
 def test_dispersion_model_matches_periodic_cubic_spline_1d(cos_table64, rng, band):
-    """The periodic cubic interpolant is unique, so scipy's is an exact oracle."""
+    """The periodic cubic interpolant is unique, so scipy's is an exact oracle:
+    for E, grad E and A, and, through its derivative, for hess E."""
     interpolate = pytest.importorskip("scipy.interpolate")
     t, nb1 = cos_table64, band - 1
     columns = np.concatenate([t.energies[:, nb1, None], t.grad_e[:, nb1],
-                              t.hess_e[:, nb1, 0], t.berry[:, nb1]], axis=1)
+                              t.berry[:, nb1]], axis=1)
     nodes = np.append(t.grid.axis_nodes, np.pi)
     oracle = interpolate.CubicSpline(nodes, np.concatenate([columns, columns[:1]]),
                                      axis=0, bc_type="periodic")
     p = rng.uniform(-3 * np.pi, 3 * np.pi, size=1500)
-    want = oracle((p + np.pi) % TWO_PI - np.pi)
+    x = (p + np.pi) % TWO_PI - np.pi
     e, g, h, a = dispersion_model(t, band).query(p)
-    got = np.concatenate([e[:, None], g, h[:, 0], a], axis=1)
+    got = np.concatenate([e[:, None], g, a], axis=1)
     scale = np.max(np.abs(columns), axis=0)
-    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.all(np.abs(got - oracle(x)) <= 1e-13 * scale)
+    hess_scale = np.max(np.abs(oracle(nodes, 1)[:, 1]))
+    assert np.all(np.abs(h[:, 0, 0] - oracle(x, 1)[:, 1]) <= 1e-13 * hess_scale)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dispersion_model_empty_batch(cos_table64, d):
+    """A query of no momenta returns empty arrays of the usual trailing shapes."""
+    if d == 1:
+        table = cos_table64
+    else:
+        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 1, 2)
+    e, g, h, a = dispersion_model(table, 1).query(np.zeros((0, d)))
+    assert (e.shape, g.shape, h.shape, a.shape) == ((0,), (0, d), (0, d, d), (0, d))
 
 
 def test_dispersion_model_nan_momentum_gives_nan(cos_table64):
@@ -421,11 +473,10 @@ def test_dispersion_model_2d_smoke():
     p = np.array([[0.3, -0.4], [2.0, 1.0]])
     assert np.allclose(d.query(p)[0], d.query(p + TWO_PI)[0], atol=1e-10)
     assert d.query(p)[2].shape == (2, 2, 2)
-    # the spline reproduces every node field, and hess E stays exactly symmetric
+    # the spline reproduces every node field, and hess E is exactly symmetric
     e, g, h, a = d.query(t.grid.node_points())
     assert np.max(np.abs(e - t.energies[:, 0])) <= 1e-12
     assert np.max(np.abs(g - t.grad_e[:, 0])) <= 1e-12
-    assert np.max(np.abs(h - t.hess_e[:, 0])) <= 1e-12
     assert np.max(np.abs(a - t.berry[:, 0])) <= 1e-12
     assert np.array_equal(h, np.swapaxes(h, -1, -2))
     # off the nodes the energy matches a fresh eigensolve on a finer grid

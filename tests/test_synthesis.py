@@ -3,8 +3,7 @@ import pytest
 from dataclasses import fields, replace
 
 from fgabloch.bloch import (BrillouinGrid, berry_connection, dispersion_model,
-                            grad_energy, hessian_energy, prepare_band_table,
-                            shift_coefficients)
+                            grad_energy, prepare_band_table, shift_coefficients)
 from fgabloch.dynamics import HamiltonianModel, integrate_ensemble, wrap_momentum
 from fgabloch.errors import PlanError
 from fgabloch.exact import gaussian_evolution
@@ -201,7 +200,7 @@ def test_gauge_robustness_random_phases(cos_potential, rng):
 
     def pipeline(tab_raw, psi0=None):
         t = fix_gauge(tab_raw)
-        t = hessian_energy(grad_energy(berry_connection(t)))
+        t = grad_energy(berry_connection(t))
         if psi0 is None:
             raw, _ = gaussian_packet(1, eps, L, n_x, q0=0.5, p0=0.8, table=t,
                                      band=1, normalize=False)
@@ -230,8 +229,8 @@ def test_gauge_robustness_smooth_twist(cos_table128):
     twist = np.exp(1j * 0.2 * np.sin(xi))
     coeffs = cos_table128.coeffs.copy()
     coeffs[:, 0, :] *= twist[:, None]
-    t2 = replace(cos_table128, coeffs=coeffs, berry=None, grad_e=None, hess_e=None)
-    t2 = hessian_energy(grad_energy(berry_connection(t2)))
+    t2 = replace(cos_table128, coeffs=coeffs, berry=None, grad_e=None)
+    t2 = grad_energy(berry_connection(t2))
     assert np.max(np.abs(t2.berry[:, 0, :])) > 0.1      # twist visible in A
 
     raw, _ = gaussian_packet(1, eps, L, n_x, q0=0.5, p0=0.8, table=cos_table128,
