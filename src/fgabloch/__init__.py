@@ -17,8 +17,7 @@ from .bloch import (BandTable, BrillouinGrid, DispersionModel,
                     fix_gauge, grad_energy, prepare_band_table,
                     solve_bands)
 from .config import RunConfig, RunReport
-from .dynamics import (EnsembleResult, HamiltonianModel, TrajectoryState,
-                       integrate_ensemble, z_matrix)
+from .dynamics import EnsembleResult, HamiltonianModel, integrate_ensemble, z_matrix
 from .exact import gaussian_evolution
 from .potentials import (ExternalPotential, PeriodicPotential, cosine_potential,
                          cubic_potential, harmonic_potential, linear_potential,

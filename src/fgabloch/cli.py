@@ -73,7 +73,7 @@ def _cmd_report(args) -> int:
         print("report round-trip FAILED", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"report: {args.path}")
-    for sect in ("meta", "monitors", "errors", "timings"):
+    for sect in ("meta", "monitors", "errors", "timings", "work"):
         if sect not in report.sections:
             continue
         print(f"[{sect}]")

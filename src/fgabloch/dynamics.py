@@ -59,26 +59,6 @@ class HamiltonianModel:
         return self.dispersion.dimension
 
 
-@dataclass
-class TrajectoryState:
-    """Single-trajectory view (wrapped momentum plus winding count)."""
-
-    t: float
-    Q: np.ndarray
-    P: np.ndarray              # wrapped into Gamma*
-    winding: np.ndarray        # integer vector, P_true = P + 2*pi*winding
-    S: float
-    F: np.ndarray              # (2d, 2d)
-    a0: complex
-    a1: complex
-    seed_q: np.ndarray
-    seed_p: np.ndarray
-    seed_w: complex
-    sympl_residual: float
-    sigma_min_z: float
-    ok: bool = True
-
-
 def wrap_momentum(p):
     """Wrapped representative in [-pi, pi) and the winding count."""
     wrapped = (p + np.pi) % TWO_PI - np.pi
@@ -261,9 +241,6 @@ class EnsembleSnapshot:
     sigma_min: np.ndarray
     ok: np.ndarray
 
-    def wrapped(self):
-        return wrap_momentum(self.P)
-
 
 @dataclass
 class EnsembleResult:
@@ -273,23 +250,13 @@ class EnsembleResult:
     min_sigma_z: float
     n_failed: int
     dt: float
+    steps: int                 # RK4 steps taken to reach the last checkpoint
 
     def at(self, t: float) -> EnsembleSnapshot:
         for key in self.snapshots:
             if abs(key - t) <= 1e-9 * max(1.0, abs(t)):
                 return self.snapshots[key]
         raise InvalidInputError(f"no snapshot at t={t}; have {sorted(self.snapshots)}")
-
-    def trajectory_state(self, t: float, i: int) -> TrajectoryState:
-        snap = self.at(t)
-        pw, wind = wrap_momentum(snap.P[i])
-        return TrajectoryState(
-            t=snap.t, Q=snap.Q[i], P=pw, winding=wind, S=float(snap.S[i]),
-            F=snap.F[i], a0=complex(snap.a0[i]), a1=complex(snap.a1[i]),
-            seed_q=self.seeds.q[i], seed_p=self.seeds.p[i],
-            seed_w=complex(self.seeds.w[i]),
-            sympl_residual=float(snap.sympl_residual[i]),
-            sigma_min_z=float(snap.sigma_min[i]), ok=bool(snap.ok[i]))
 
     def export_csv(self, t: float, path):
         snap = self.at(t)
@@ -400,7 +367,7 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         ys[:flow] += y[:flow]
         _rhs(model, *ys_views[:3], delta, out)
 
-    t_now = 0.0
+    t_now, steps = 0.0, 0
     if any(abs(c) < 1e-12 for c in checkpoints):
         snap(0.0, *monitor())
     for target in checkpoints:
@@ -409,6 +376,7 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
         seg = target - t_now
         n_steps = max(1, int(round(seg / dt)))
         h = seg / n_steps
+        steps += n_steps
         for _ in range(n_steps):
             _rhs(model, Q, P, F, delta, k1_views)
             stage(k1, 0.5 * h, k2_views)
@@ -429,4 +397,4 @@ def integrate_ensemble(seeds: SeedSet, model: HamiltonianModel, T: float, dt: fl
     return EnsembleResult(seeds=seeds, snapshots=snapshots,
                           max_sympl_residual=float(sympl_run.max()),
                           min_sigma_z=float(sigma_run.min()),
-                          n_failed=int((~ok).sum()), dt=dt)
+                          n_failed=int((~ok).sum()), dt=dt, steps=steps)

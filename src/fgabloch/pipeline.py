@@ -27,10 +27,14 @@ from .wavefield import WaveField, gaussian_packet, l2_distance, write_csv
 
 
 class StageTimer:
-    """`with timer(name):` records the block's wall time under prefix + name."""
+    """`with timer(name):` records the block's wall time under prefix + name;
+    `timer.count(key, n)` adds n to the report's [work] counter key."""
 
     def __init__(self, report: RunReport, prefix: str = ""):
         self.report, self.prefix = report, prefix
+
+    def count(self, key: str, n: int):
+        self.report.put("work", key, n + int(self.report.sections.get("work", {}).get(key, 0)))
 
     @contextmanager
     def __call__(self, name):
@@ -168,6 +172,13 @@ def _report_prepared(report: RunReport, table: BandTable, p_used):
         report.put("monitors", "p0_used", " ".join(repr(float(v)) for v in p_used))
 
 
+def _synthesize(timer: StageTimer, plan: SynthesisPlan) -> WaveField:
+    """synthesize(plan), counting the grid points its windows add onto."""
+    timer.count("synthesis_window_points", plan.seeds.count
+                * min(plan.span, plan.out_n_x) ** plan.table.grid.dimension)
+    return synthesize(plan)
+
+
 def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs,
                   rcfg, checkpoints, timer: StageTimer):
     """Integrate each band of cfg.bands and synthesize it at every checkpoint
@@ -191,10 +202,11 @@ def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs
             results[n] = (seeds, integrate_ensemble(
                 seeds, model, T=cfg.t_final, dt=cfg.dt,
                 checkpoint_times=checkpoints, enable_a1=cfg.a1))
+            timer.count("traj_steps", seeds.count * results[n][1].steps)
     fields, distances = {}, {}
     with timer("synthesize"):
         for t in checkpoints:
-            fields[t] = [synthesize(SynthesisPlan(
+            fields[t] = [_synthesize(timer, SynthesisPlan(
                 table=table, band=n, seeds=seeds, snapshot=res.at(t), length=cfg.length,
                 out_n_x=compared_n_x if n == cfg.bands[0] else psi0.n_x, r_c=cfg.r_c))
                 for n, (seeds, res) in results.items()]
@@ -272,9 +284,9 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
                                    coefficients=coeffs[n])
             rec = rec + proj.values
             seeds_full = coeffs[n].to_seeds(0.0)
-            f0 = synthesize(SynthesisPlan(table=table, band=n, seeds=seeds_full,
-                                          snapshot=initial_snapshot(seeds_full),
-                                          length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c))
+            f0 = _synthesize(timer, SynthesisPlan(
+                table=table, band=n, seeds=seeds_full, snapshot=initial_snapshot(seeds_full),
+                length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c))
             t0_err = max(t0_err, l2_distance(f0, proj)[0])
         recon_resid = l2_distance(psi0.with_values(rec), psi0)[0]
     report.put("monitors", "t0_consistency", t0_err)

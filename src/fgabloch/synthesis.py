@@ -20,18 +20,19 @@ The Gaussian factors along each axis: every trajectory gets one truncated
 window per axis, on the grid points within r_c sqrt(eps) of Q, folded onto
 the axis when it is longer than the domain, and factored as in fast Gaussian
 gridding (Greengard & Lee, SIAM Rev. 46 (2004) 443-454; see _axis_window).
-The windows' product is scattered onto the output grid with one bincount per
-chunk of trajectories, and each Brillouin node's sum is multiplied by its
-Bloch wave.  The sum is pointwise: on a grid refined by an integer factor
-the values, subsampled, agree up to rounding.
+The windows' product, a block of grid points from its start, is added onto
+the grid as slices (split where it wraps: up to 2^d pieces), one trajectory
+after the other, into a buffer per chunk; each Brillouin node's sum is then
+multiplied by its Bloch wave.  The sum is pointwise: on a grid refined by an
+integer factor the values, subsampled, agree up to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bloch import BandTable, nearest_node
 from .dynamics import EnsembleSnapshot, wrap_momentum
@@ -40,8 +41,8 @@ from .transform import SeedSet, _cell_bloch_values, _field_cells
 from .wavefield import WaveField
 
 TWO_PI = 2.0 * np.pi
-# Trajectories scattered at once (the 1D chunk), fewer when their windows
-# would hold more than _SCATTER_ENTRIES grid points together.
+# Trajectories windowed and summed at once (the 1D chunk), fewer when their
+# windows would hold more than _SCATTER_ENTRIES grid points together.
 _TRAJ_CHUNK = 512
 _SCATTER_ENTRIES = 2 ** 22
 _BLOCK = 64                 # window points per block of exp(k beta)
@@ -85,8 +86,10 @@ class SynthesisPlan:
         return self.seeds.eps
 
     @property
-    def time(self) -> float:
-        return self.snapshot.t
+    def span(self) -> int:
+        """Grid points per axis within r_c sqrt(eps) of Q, before folding."""
+        dx = self.length / self.out_n_x
+        return int(np.ceil(2 * self.r_c * np.sqrt(self.eps) / dx)) + 1
 
 
 def _node_assignments(plan: SynthesisPlan):
@@ -120,25 +123,20 @@ def _trajectory_coefficients(plan: SynthesisPlan, p_rep, w_eff, flat, node_pos):
     return coef
 
 
-def _scatter(idx: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
-    """Sum the complex values g into `size` bins by index."""
-    return (np.bincount(idx.ravel(), weights=g.real.ravel(), minlength=size)
-            + 1j * np.bincount(idx.ravel(), weights=g.imag.ravel(), minlength=size))
-
-
-def _axis_window(Q, p, coef, span: int, out: WaveField, radius: float):
-    """Each trajectory's truncated window along one axis times coef: (indices, values).
+def _axis_window(Q, p, coef, span: int, out: WaveField, radius: float, grid_order=False):
+    """Each trajectory's truncated window along one axis times coef: (starts, values).
 
     The window covers the `span` grid points from the first one at or past
-    Q - radius, numbered k from its centre point jc.  With rho_c = jc dx - Q in
-    [0, 2 dx), exp(-rho^2/2eps + i p rho/eps) at rho = rho_c + k dx is
-    exp(z) exp(k beta) gauss[k], with gauss shared by every trajectory and
-    exp(k beta) built from blocks of _BLOCK points; expanded about the centre,
-    no factor comes near overflow.  One window longer than the axis is folded.
+    Q - radius (its start, mod n_x), numbered k from its centre point jc.  With
+    rho_c = jc dx - Q in [0, 2 dx), exp(-rho^2/2eps + i p rho/eps) at rho =
+    rho_c + k dx is exp(z) exp(k beta) gauss[k], with gauss shared by every
+    trajectory and exp(k beta) built from blocks of _BLOCK points; expanded about
+    the centre, no factor comes near overflow.  A window longer than the axis
+    is folded; with grid_order, it is then turned to start at grid point 0.
     """
     n_x, dx, eps = out.n_x, out.dx, out.eps
     k = np.arange(span) - span // 2
-    gauss = np.exp(-(k * dx) ** 2 / (2 * eps))
+    gauss = np.repeat(np.exp(-(k * dx) ** 2 / (2 * eps)), 2)    # for re and im alike
     jc = np.ceil((Q - radius) / dx).astype(int) - k[0]
     rho_c = jc * dx - Q
     beta = (1j * p - rho_c) * (dx / eps)
@@ -146,32 +144,47 @@ def _axis_window(Q, p, coef, span: int, out: WaveField, radius: float):
     row = coef * np.exp(rho_c * (1j * p - rho_c / 2) / eps)       # coef exp(z)
     outer = row[:, None] * np.exp(starts * beta[:, None])
     inner = np.exp(np.arange(_BLOCK) * beta[:, None])
-    g = (outer[:, :, None] * inner[:, None, :]).reshape(Q.size, -1)[:, :span] * gauss
+    g = (outer[:, :, None] * inner[:, None, :]).reshape(Q.size, -1)[:, :span]
+    g.view(float)[...] *= gauss
     # every point lies at or past Q - radius; zero those past Q + radius
     last = np.floor((Q + radius) / dx).astype(int) - jc
     cut = np.searchsorted(k, last.min(), side="right")
     g[:, cut:] *= k[cut:] <= last[:, None]
-    # row i holds the grid indices jc_i + k, wrapped onto the axis
-    idx = sliding_window_view(np.arange(n_x + span) % n_x, span)[(jc + k[0]) % n_x]
+    start = (jc + k[0]) % n_x
     if span > n_x:
-        rows = np.arange(Q.size)[:, None] * n_x
-        g = _scatter(rows + idx, g, Q.size * n_x).reshape(Q.size, n_x)
-        idx = np.broadcast_to(np.arange(n_x), g.shape)
-    return idx, g
+        # point k lands on window point k mod n_x, added in the order of k
+        g, unfolded = g[:, :n_x].copy(), g
+        for r in range(n_x, span, n_x):
+            g[:, :span - r] += unfolded[:, r:r + n_x]
+        if grid_order:
+            g = np.take_along_axis(g, (np.arange(n_x) - start[:, None]) % n_x, 1)
+            start = np.zeros_like(start)
+    return start, g
+
+
+def _pieces(start, width: int, n_x: int):
+    """(grid slices, window slices) that lay a window of `width` <= n_x points
+    per axis from `start` onto the periodic grid, split where it wraps."""
+    per_axis = []
+    for j in start:
+        cut = min(width, n_x - j)                   # points before the axis end
+        per_axis.append([(slice(j, j + cut), slice(0, cut))]
+                        + [(slice(0, width - cut), slice(cut, width))] * (cut < width))
+    return [tuple(zip(*piece)) for piece in product(*per_axis)]
 
 
 def synthesize(plan: SynthesisPlan) -> WaveField:
     """Evaluate one band's trajectory superposition on the output grid."""
     d = plan.table.grid.dimension
-    n_x = plan.out_n_x
+    n_x, span = plan.out_n_x, plan.span
+    shape, width = (n_x,) * d, min(span, n_x)
     out = WaveField(dimension=d, eps=plan.eps, length=plan.length,
-                    values=np.zeros((n_x,) * d, dtype=complex), time=plan.time)
+                    values=np.zeros(shape, dtype=complex), time=plan.snapshot.t)
     if plan.seeds.count == 0:
         return out
     R, s = _field_cells(out)
     radius = plan.r_c * np.sqrt(plan.eps)
-    span = int(np.ceil(2 * radius / out.dx)) + 1
-    chunk = max(1, min(_TRAJ_CHUNK, _SCATTER_ENTRIES // min(span, n_x) ** d))
+    chunk = max(1, min(_TRAJ_CHUNK, _SCATTER_ENTRIES // width ** d))
 
     p_rep, w_eff, flat, node_pos = _node_assignments(plan)
     coef = _trajectory_coefficients(plan, p_rep, w_eff, flat, node_pos)
@@ -179,16 +192,24 @@ def synthesize(plan: SynthesisPlan) -> WaveField:
     nodes = np.unique(flat)
     cells = _cell_bloch_values(plan.table, plan.band, nodes, s)
 
-    vals = np.zeros(n_x ** d, dtype=complex)
+    vals = np.zeros(shape, dtype=complex)
     for node, cell in zip(nodes, cells):
         sel = np.nonzero(flat == node)[0]
-        acc = np.zeros(n_x ** d, dtype=complex)
+        acc = np.zeros(shape, dtype=complex)
         for part in np.array_split(sel, max(1, sel.size // chunk)):
-            idx, g = _axis_window(Q[part, 0], p_rep[part, 0], coef[part], span, out, radius)
-            for a in range(1, d):
-                ia, ga = _axis_window(Q[part, a], p_rep[part, a], 1.0, span, out, radius)
-                idx = (idx[:, :, None] * n_x + ia[:, None, :]).reshape(part.size, -1)
-                g = (g[:, :, None] * ga[:, None, :]).reshape(part.size, -1)
-            acc += _scatter(idx, g, n_x ** d)
-        vals += acc * np.tile(cell, (R,) * d).ravel()
-    return out.with_values(vals.reshape((n_x,) * d))
+            # folded windows after the first axis in grid order: pieces are row blocks
+            starts, g = zip(*(_axis_window(Q[part, a], p_rep[part, a],
+                                           1.0 if a else coef[part], span, out, radius, a > 0)
+                              for a in range(d)))
+            block = g[0]
+            for ga in g[1:]:
+                block = (block[:, :, None] * ga[:, None, :]).reshape(part.size, -1)
+            # at most one addition per window and grid point: sums in trajectory order
+            buf = np.zeros(shape, dtype=complex)
+            for start, gj in zip(np.stack(starts, 1).tolist(),
+                                 block.reshape((-1,) + (width,) * d)):
+                for on_grid, in_window in _pieces(start, width, n_x):
+                    buf[on_grid] += gj[in_window]
+            acc += buf
+        vals += acc * np.tile(cell, (R,) * d)
+    return out.with_values(vals)

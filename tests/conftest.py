@@ -28,6 +28,15 @@ def free_table128():
     return prepare_band_table(BrillouinGrid(1, 128), PeriodicPotential.zero(1), 3, 8)
 
 
+@pytest.fixture(scope="session")
+def berry_lattice_table():
+    """2D lattice without inversion symmetry (max |A| about 0.39): M = 32, K = 4, 2 bands."""
+    v = PeriodicPotential(dimension=2, coefficients={
+        (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5,
+        (1, 1): -0.3j, (-1, -1): 0.3j, (2, -1): -0.2j, (-2, 1): 0.2j})
+    return prepare_band_table(BrillouinGrid(2, 32), v, 2, 4)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)

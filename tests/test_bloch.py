@@ -422,6 +422,49 @@ def test_dispersion_model_matches_periodic_cubic_spline_1d(cos_table64, rng, ban
     assert np.all(np.abs(h[:, 0, 0] - oracle(x, 1)[:, 1]) <= 1e-13 * hess_scale)
 
 
+def _periodic_tensor_spline(interpolate, nodes, values, x, nu=(0, 0)):
+    """scipy's periodic CubicSpline of node values (M, M, columns) along
+    axis 0 and then along axis 1, or its derivative of order nu, at x (n, 2)."""
+    def closed(v, axis):
+        return np.concatenate([v, np.take(v, [0], axis=axis)], axis=axis)
+
+    rows = interpolate.CubicSpline(nodes, closed(values, 0), axis=0,
+                                   bc_type="periodic")(x[:, 0], nu[0])    # (n, M, columns)
+    return np.stack([interpolate.CubicSpline(nodes, closed(r, 0), axis=0,
+                                             bc_type="periodic")(xi, nu[1])
+                     for r, xi in zip(rows, x[:, 1])])
+
+
+@pytest.mark.parametrize("band", [1, 2])
+def test_dispersion_model_matches_periodic_tensor_spline_2d(berry_lattice_table, rng, band):
+    """On a 2D lattice without inversion symmetry (A is not zero), the
+    tensor-product periodic cubic interpolant is unique, so scipy's 1D
+    periodic spline applied along axis 0 and then axis 1 is an exact oracle
+    for E, grad E and A, and, through its derivatives, for hess E."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    t, nb1 = berry_lattice_table, band - 1
+    m = t.grid.nodes_per_axis
+    columns = np.concatenate([t.energies[:, nb1, None], t.grad_e[:, nb1],
+                              t.berry[:, nb1]], axis=1)
+    scale = np.max(np.abs(columns), axis=0)
+    assert scale[3:].max() > 0.3                       # the A columns are not zero
+    nodes = np.append(t.grid.axis_nodes, np.pi)
+    values = columns.reshape(m, m, -1)                 # flat node index is C order
+    p = rng.uniform(-3 * np.pi, 3 * np.pi, size=(300, 2))
+    x = (p + np.pi) % TWO_PI - np.pi
+    e, g, h, a = dispersion_model(t, band).query(p)
+    got = np.concatenate([e[:, None], g, a], axis=1)
+    assert np.all(np.abs(got - _periodic_tensor_spline(interpolate, nodes, values, x))
+                  <= 1e-13 * scale)
+    # hess E is the symmetrized derivative of the grad E spline
+    grad = values[:, :, 1:3]
+    d0, d1 = (_periodic_tensor_spline(interpolate, nodes, grad, x, nu)
+              for nu in ((1, 0), (0, 1)))
+    jac = np.stack([d0, d1], axis=2)                   # [:, a, b] = d(grad_a)/d(p_b)
+    hess = 0.5 * (jac + jac.transpose(0, 2, 1))
+    assert np.all(np.abs(h - hess) <= 1e-13 * np.abs(hess).max())
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_dispersion_model_empty_batch(cos_table64, d):
     """A query of no momenta returns empty arrays of the usual trailing shapes."""

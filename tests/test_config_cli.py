@@ -330,6 +330,31 @@ def test_cmd_propagate_and_reports(config_file):
     assert again == report
 
 
+@pytest.mark.parametrize("command", ["propagate", "convergence"])
+def test_report_work_counters(command, config_file, monkeypatch):
+    """[work] traj_steps is the seeds times the RK4 steps of every
+    integration (T / dt each), and synthesis_window_points the trajectories
+    times min(span, n_x)^d of every synthesis, the t = 0 check included."""
+    path, _ = config_file
+    cfg = RunConfig.from_text(path.read_text()).apply_overrides(
+        ["run.compare_reference=true"]
+        + (["numerics.eps_list=0.125, 0.0625"] if command == "convergence" else []))
+    plans = _counting_synthesize(monkeypatch)
+    seed_counts, real = [], pipeline.integrate_ensemble
+
+    def recording(seeds, *args, **kwargs):
+        seed_counts.append(seeds.count)
+        return real(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_ensemble", recording)
+    report = getattr(pipeline, f"cmd_{command}")(cfg)
+    assert len(plans) == (2 if command == "convergence" else 4)
+    steps = round(cfg.t_final / cfg.dt)
+    assert int(report.get("work", "traj_steps")) == sum(seed_counts) * steps
+    assert int(report.get("work", "synthesis_window_points")) == sum(
+        p.seeds.count * min(p.span, p.out_n_x) for p in plans)
+
+
 def test_cmd_propagate_t0_equals_projection(config_file, tmp_path):
     path, out = config_file
     cfg = RunConfig.from_text(path.read_text())

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fgabloch.bloch import BrillouinGrid, dispersion_model, prepare_band_table
+from fgabloch.bloch import dispersion_model
 from fgabloch.dynamics import (_STENCIL, N_STENCIL, HamiltonianModel, _det, _rhs, _sigma_min,
                                _z, integrate_ensemble, sigma_min_z, symplectic_residual,
                                wrap_momentum, z_matrix)
 from fgabloch.errors import InvalidInputError, InvariantViolationError, NumericError
-from fgabloch.potentials import (PeriodicPotential, cubic_potential, harmonic_potential,
-                                 linear_potential, zero_potential)
+from fgabloch.potentials import (cubic_potential, harmonic_potential, linear_potential,
+                                 zero_potential)
 from fgabloch.transform import SeedSet
 
 SQRT2 = np.sqrt(2.0)
@@ -249,13 +249,10 @@ def _per_component_rk4(seeds, model, T, dt, checkpoint_times, enable_a1=False):
 
 
 @pytest.fixture(scope="module")
-def berry_lattice_model():
-    """2D lattice without inversion symmetry (max |A| about 0.39), harmonic U."""
-    v = PeriodicPotential(dimension=2, coefficients={
-        (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5,
-        (1, 1): -0.3j, (-1, -1): 0.3j, (2, -1): -0.2j, (-2, 1): 0.2j})
-    table = prepare_band_table(BrillouinGrid(2, 32), v, 2, 4)
-    return HamiltonianModel(dispersion_model(table, 1), harmonic_potential(2, k=1.0))
+def berry_lattice_model(berry_lattice_table):
+    """Band 1 of the 2D lattice without inversion symmetry, harmonic U."""
+    return HamiltonianModel(dispersion_model(berry_lattice_table, 1),
+                            harmonic_potential(2, k=1.0))
 
 
 @pytest.mark.parametrize("case", ["cos-1d", "berry-2d", "a1"])
@@ -529,8 +526,8 @@ def test_trajectory_state_and_csv(tmp_path, cos_table128):
                              harmonic_potential(1, k=1.0, center=0.0))
     seeds = _seed([(0.5, 0.3), (0.1, 1.4)])
     res = integrate_ensemble(seeds, model, T=0.2, dt=1e-3)
-    st = res.trajectory_state(0.2, 1)
-    assert st.ok and st.sigma_min_z >= SQRT2 - 1e-9
+    snap = res.at(0.2)
+    assert snap.ok[1] and snap.sigma_min[1] >= SQRT2 - 1e-9
     path = tmp_path / "traj.csv"
     res.export_csv(0.2, path)
     lines = path.read_text().splitlines()

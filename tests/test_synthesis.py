@@ -10,9 +10,11 @@ from fgabloch.exact import gaussian_evolution
 from fgabloch.potentials import (PeriodicPotential, harmonic_potential,
                                  linear_potential, zero_potential)
 from fgabloch.reference import ReferenceConfig, reference_propagate
-from fgabloch.synthesis import SynthesisPlan, _axis_window, initial_snapshot, synthesize
-from fgabloch.transform import (PhaseSpaceGrid, SeedSet, _truncated_window, band_projection,
-                                phase_grid_for_field, reconstruct, windowed_bloch_transform)
+from fgabloch.synthesis import (_TRAJ_CHUNK, SynthesisPlan, _axis_window, _node_assignments,
+                                _trajectory_coefficients, initial_snapshot, synthesize)
+from fgabloch.transform import (PhaseSpaceGrid, SeedSet, _cell_bloch_values, _truncated_window,
+                                band_projection, phase_grid_for_field, reconstruct,
+                                windowed_bloch_transform)
 from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance
 
 
@@ -58,7 +60,8 @@ def test_axis_window_matches_truncated_window(r_c, length, x_per_cell, span, rng
     """The factored window against the direct formula at random Q, p and
     coefficients: the shipped field- and reference-grid windows (eps = 1/32),
     and r_c = 30, where expanding about the window's edge instead of its
-    centre overflows exp(k beta) and turns the window into NaN."""
+    centre overflows exp(k beta) and turns the window into NaN.  Each window
+    starts at the first grid point at or past Q - radius, taken mod n_x."""
     eps = 1 / 32
     n_x = int(round(length / eps)) * x_per_cell
     out = WaveField(1, eps, length, np.zeros(n_x, complex), 0.0)
@@ -67,13 +70,78 @@ def test_axis_window_matches_truncated_window(r_c, length, x_per_cell, span, rng
     Q = rng.uniform(0.0, length, 300)
     p = rng.uniform(-np.pi, np.pi, 300)
     coef = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    idx, g = _axis_window(Q, p, coef, span, out, radius)
-    j = np.ceil((Q - radius) / out.dx).astype(int)[:, None] + np.arange(span)
+    start, g = _axis_window(Q, p, coef, span, out, radius)
+    first = np.ceil((Q - radius) / out.dx).astype(int)
+    j = first[:, None] + np.arange(span)
     ref = coef[:, None] * _truncated_window(j * out.dx - Q[:, None], eps, radius, p[:, None])
     assert np.isfinite(g).all()
-    assert np.array_equal(idx, j % n_x)
+    assert np.array_equal(start, first % n_x)
     assert np.array_equal(g == 0, ref == 0)        # the same truncation
     assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _direct_window_sum(plan):
+    """The band's field as a dense sum over trajectories of coefficient x
+    truncated window (every torus image, on every grid point) x Bloch cell,
+    and the same sum of magnitudes."""
+    d, n_x, eps, L = plan.table.grid.dimension, plan.out_n_x, plan.eps, plan.length
+    radius = plan.r_c * np.sqrt(eps)
+    p_rep, w_eff, flat, node_pos = _node_assignments(plan)
+    coef = _trajectory_coefficients(plan, p_rep, w_eff, flat, node_pos)
+    Q = plan.snapshot.Q
+    x = np.arange(n_x) * (L / n_x)
+    shifts = L * np.arange(np.floor((Q.min() - radius) / L) - 1,
+                           np.ceil((Q.max() + radius) / L) + 2)
+    nodes, cells_per_axis = np.unique(flat), int(round(L / eps))
+    cells = _cell_bloch_values(plan.table, plan.band, nodes, n_x // cells_per_axis)
+    total, magnitude = np.zeros((n_x,) * d, complex), np.zeros((n_x,) * d)
+    for node, cell in zip(nodes, cells):
+        sel = flat == node
+        w = [sum(_truncated_window(x + shift - Q[sel, a, None], eps, radius,
+                                   p_rep[sel, a, None]) for shift in shifts)
+             for a in range(d)]                                     # (m, n_x) per axis
+        field, mag = coef[sel] @ w[0], np.abs(coef[sel]) @ np.abs(w[0])
+        if d == 2:
+            field = (coef[sel, None] * w[0]).T @ w[1]
+            mag = (np.abs(coef[sel, None] * w[0])).T @ np.abs(w[1])
+        bloch = np.tile(cell, (cells_per_axis,) * d)
+        total += field * bloch
+        magnitude += mag * np.abs(bloch)
+    return total, magnitude
+
+
+@pytest.mark.parametrize("d, case", [(d, c) for d in (1, 2)
+                                     for c in ("wrap", "fold", "chunks")])
+def test_synthesis_matches_direct_window_sum(d, case, cos_table128, rng):
+    """synthesize against a dense per-trajectory sum of the direct window
+    formula, to 1e-13 of the largest sum of magnitudes: windows that wrap
+    past the axis ends (Q up to half a period outside the domain), windows
+    longer than the axis (folded), and one Brillouin node holding more than
+    _TRAJ_CHUNK trajectories, so that its sum spans several chunks."""
+    if d == 1:
+        table, eps, r_c, length = cos_table128, 1 / 32, 8.0, 4.0
+    else:
+        table, eps, r_c, length = prepare_band_table(
+            BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 1, 2), 1 / 16, 3.0, 2.0
+    length = 1.0 if case == "fold" else length
+    n_x = int(round(length / eps)) * 8
+    n = 2 * _TRAJ_CHUNK + 40 if case == "chunks" else 60
+    if case == "chunks":                     # one node: momenta within its cell
+        q = rng.uniform(0.0, length, (n, d))
+        p = table.grid.axis_nodes[3] + rng.uniform(-0.01, 0.01, (n, d))
+    else:
+        q = rng.uniform(-0.5 * length, 1.5 * length, (n, d))
+        p = rng.uniform(-3 * np.pi, 3 * np.pi, (n, d))
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    seeds = SeedSet(band=1, eps=eps, q=q, p=p, w=w, weight=1.0, total_points=n)
+    plan = SynthesisPlan(table=table, band=1, seeds=seeds, snapshot=initial_snapshot(seeds),
+                         length=length, out_n_x=n_x, r_c=r_c)
+    assert (plan.span > n_x) == (case == "fold")
+    if case == "chunks":
+        assert np.unique(_node_assignments(plan)[2]).size == 1
+    got = synthesize(plan).values
+    want, magnitude = _direct_window_sum(plan)
+    assert np.abs(got - want).max() <= 1e-13 * magnitude.max()
 
 
 @pytest.mark.parametrize("d", [1, 2])
