@@ -425,14 +425,11 @@ def test_dispersion_model_matches_periodic_cubic_spline_1d(cos_table64, rng, ban
 def _periodic_tensor_spline(interpolate, nodes, values, x, nu=(0, 0)):
     """scipy's periodic CubicSpline of node values (M, M, columns) along
     axis 0 and then along axis 1, or its derivative of order nu, at x (n, 2)."""
-    def closed(v, axis):
-        return np.concatenate([v, np.take(v, [0], axis=axis)], axis=axis)
+    def spline(v):          # along axis 0; the first node closes the period
+        return interpolate.CubicSpline(nodes, np.concatenate([v, v[:1]]), bc_type="periodic")
 
-    rows = interpolate.CubicSpline(nodes, closed(values, 0), axis=0,
-                                   bc_type="periodic")(x[:, 0], nu[0])    # (n, M, columns)
-    return np.stack([interpolate.CubicSpline(nodes, closed(r, 0), axis=0,
-                                             bc_type="periodic")(xi, nu[1])
-                     for r, xi in zip(rows, x[:, 1])])
+    rows = spline(values)(x[:, 0], nu[0])                  # (n, M, columns)
+    return np.stack([spline(r)(xi, nu[1]) for r, xi in zip(rows, x[:, 1])])
 
 
 @pytest.mark.parametrize("band", [1, 2])
