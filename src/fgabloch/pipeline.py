@@ -9,6 +9,7 @@ single-threaded numerics; reports additionally carry wall-clock timings.
 from __future__ import annotations
 
 import os
+import resource
 import time
 from contextlib import contextmanager
 
@@ -172,9 +173,15 @@ def _report_prepared(report: RunReport, table: BandTable, p_used):
         report.put("monitors", "p0_used", " ".join(repr(float(v)) for v in p_used))
 
 
-def _synthesize(timer: StageTimer, plan: SynthesisPlan) -> WaveField:
-    """synthesize(plan), counting the grid points its windows add onto."""
-    timer.count("synthesis_window_points", plan.seeds.count
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (ru_maxrss is in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _synthesize(timer: StageTimer, plan: SynthesisPlan, counter="synthesis_window_points"):
+    """synthesize(plan), counting the grid points its windows add onto under
+    the [work] key `counter`."""
+    timer.count(counter, plan.seeds.count
                 * min(plan.span, plan.out_n_x) ** plan.table.grid.dimension)
     return synthesize(plan)
 
@@ -186,7 +193,9 @@ def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs
     reference grid instead and compared with the reference run from its
     projection.  Returns band -> (seeds, EnsembleResult),
     t -> [field per band], t -> l2_distance."""
-    # reference first: no ensemble is alive in its fine-grid projection, the memory peak
+    # reference first: no ensemble is alive during its fine-grid projection,
+    # whose operator blocks hold at most 2^19 p-node/grid-point pairs (on
+    # convergence.ini the finest rung's transform, not this, sets the peak)
     refs, compared_n_x = {}, psi0.n_x
     if rcfg is not None:
         with timer("reference"):
@@ -277,18 +286,19 @@ def cmd_propagate(cfg: RunConfig, out_dir=None) -> RunReport:
     # t = 0 consistency against the band operator, full (unthresholded) seeds;
     # the band projections also give the time-independent truncation residual
     with timer("t0_consistency"):
+        projs = {n: band_projection(psi0, table, n, psg, r_c=cfg.r_c, coefficients=coeffs[n])
+                 for n in cfg.bands}
+        recon_resid = l2_distance(psi0.with_values(sum(p.values for p in projs.values())),
+                                  psi0)[0]
+    with timer("t0_synthesize"):
         t0_err = 0.0
-        rec = np.zeros_like(psi0.values)
         for n in cfg.bands:
-            proj = band_projection(psi0, table, n, psg, r_c=cfg.r_c,
-                                   coefficients=coeffs[n])
-            rec = rec + proj.values
             seeds_full = coeffs[n].to_seeds(0.0)
             f0 = _synthesize(timer, SynthesisPlan(
                 table=table, band=n, seeds=seeds_full, snapshot=initial_snapshot(seeds_full),
-                length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c))
-            t0_err = max(t0_err, l2_distance(f0, proj)[0])
-        recon_resid = l2_distance(psi0.with_values(rec), psi0)[0]
+                length=cfg.length, out_n_x=psi0.n_x, r_c=cfg.r_c),
+                counter="t0_synthesis_window_points")
+            t0_err = max(t0_err, l2_distance(f0, projs[n])[0])
     report.put("monitors", "t0_consistency", t0_err)
     if t0_err > 1e-10:
         raise NumericError(
@@ -408,6 +418,7 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
         report.put("monitors", f"sympl_eps_{eps!r}", res.max_sympl_residual)
         report.put("monitors", f"sigma_min_eps_{eps!r}", res.min_sigma_z)
         report.put("timings", f"eps_{eps!r}", f"{time.perf_counter() - t_eps0:.3f}")
+        report.put("work", f"peak_rss_mb_eps_{eps!r}", _peak_rss_mb())
 
     rows, orders = [], []
     for i, eps in enumerate(eps_list):
@@ -436,6 +447,7 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
 
 
 def _write_report(report: RunReport, out_dir, command):
+    report.put("work", "peak_rss_mb", _peak_rss_mb())
     with open(os.path.join(out_dir, f"report_{command}.txt"), "w") as fh:
         fh.write(report.to_text())
 

@@ -42,7 +42,9 @@ from .wavefield import WaveField
 
 TWO_PI = 2.0 * np.pi
 # Trajectories windowed and summed at once (the 1D chunk), fewer when their
-# windows would hold more than _SCATTER_ENTRIES grid points together.
+# windows would hold more than _SCATTER_ENTRIES grid points together.  Both
+# bound a part within a factor 2 only: a node's trajectories go into
+# sel.size // chunk near-equal parts, of up to 2 chunk - 1 trajectories.
 _TRAJ_CHUNK = 512
 _SCATTER_ENTRIES = 2 ** 22
 _BLOCK = 64                 # window points per block of exp(k beta)

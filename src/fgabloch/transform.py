@@ -20,8 +20,11 @@ One path serves every dimension: the window factors along each axis, and
 its periodized, truncated blocks are contracted axis by axis with the flat
 p-node axis last (the band operator applies the same contraction
 transposed).  Bloch cell values of all requested nodes come from one
-plane-wave matrix.  p-nodes go in chunks of _CHUNK_ENTRIES p-node/grid-point
-pairs at most, which bounds the memory in 2d.
+plane-wave matrix.  Memory is bounded by _CHUNK_ENTRIES p-node/grid-point
+pairs: the transform takes the p-nodes in chunks; the band operator takes
+every p-node at once and walks its output grid in blocks of whole lattice
+cells along axis 0, so each window row of axis 0 is built once per call.  A
+chunk's or block's buffers are freed before the next one is built.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ DEFAULT_RC = 8.0
 DEFAULT_SEED_THRESHOLD = 1e-8
 # fraction of max|psi| below which phase_grid_for_field treats psi as absent
 SUPPORT_THRESHOLD = 1e-8
-# p-node x grid-point pairs the transform and band operator hold at once; the
-# shipped 1D configs fit in one chunk (at most 2^20 pairs, on the reference grid)
-_CHUNK_ENTRIES = 2 ** 20
+# p-node x grid-point pairs a transform chunk or band-operator block holds (8 MB
+# per complex buffer); on configs/propagate.ini the transform (2^18 pairs) and
+# the operator (2^19, on the reference grid) each run as one, and the operator
+# on configs/convergence.ini's finest reference grid (2^20) as two blocks
+_CHUNK_ENTRIES = 2 ** 19
 
 
 def gaussian_eval(q, p, eps: float, x) -> np.ndarray:
@@ -189,10 +194,11 @@ def _p_nodes(table: BandTable, grid: PhaseSpaceGrid) -> np.ndarray:
     return table.grid.node_points()
 
 
-def _p_chunks(n_p: int, n_points: int):
-    """Slices of the p-nodes holding at most _CHUNK_ENTRIES p-node/grid-point pairs."""
-    step = max(1, _CHUNK_ENTRIES // n_points)
-    return [slice(j, j + step) for j in range(0, n_p, step)]
+def _chunks(n: int, entries_per_item: int):
+    """Slices of range(n) holding at most _CHUNK_ENTRIES entries, and one item
+    at least."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_item)
+    return [slice(j, min(j + step, n)) for j in range(0, n, step)]
 
 
 def _image_shifts(length: float, radius: float) -> np.ndarray:
@@ -212,19 +218,21 @@ def _truncated_window(rho, eps: float, radius: float, p=None) -> np.ndarray:
 
 
 def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.ndarray,
-                   radius: float, adjoint: bool) -> np.ndarray:
+                   radius: float, adjoint: bool, rows: slice = slice(None)) -> np.ndarray:
     """Contract the leading d axes of t (flat p-node axis last) with the
     periodized window, one axis at a time.
 
     The window of axis a is a sum of blocks, one per torus image `shift`,
     block[i, j] = truncated window at rho = x_j - q_i + shift (x: the axis of
-    `on`), each with the phase exp(-+ i p_a shift / eps).  The transform maps
-    x to q (adjoint False); the band operator maps q to x.  Blocks are built
-    one at a time, so at most one is held.
+    `on`, only its points `rows` on axis 0), each with the phase
+    exp(-+ i p_a shift / eps).  The transform maps x to q (adjoint False);
+    the band operator maps q to x.  Blocks are built one at a time, so at
+    most one is held.
     """
-    x, eps = on.axis_points(), on.eps
+    axis, eps = on.axis_points(), on.eps
     sign = 1j if adjoint else -1j
     for a, q in enumerate(grid.q_axes()):
+        x = axis[rows] if a == 0 else axis
         moved = np.moveaxis(t, a, 0)
         flat = moved.reshape(moved.shape[0], -1)
         acc = np.zeros(((x if adjoint else q).size,) + moved.shape[1:], dtype=complex)
@@ -261,7 +269,7 @@ def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
     psi = field.values.ravel()
     const = _norm_const(d, eps)
     vals = np.empty((q.shape[0], p.shape[0]), dtype=complex)
-    for sl in _p_chunks(p.shape[0], psi.size):
+    for sl in _chunks(p.shape[0], psi.size):
         pc = p[sl]
         cells = _cell_bloch_values(table, n, sl, s)
         u = np.tile(cells, (1,) + (R,) * d).reshape(cells.shape[0], -1)
@@ -269,6 +277,7 @@ def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
         acc = _apply_windows(theta.reshape((field.n_x,) * d + (-1,)), field, grid, pc,
                              r_c * np.sqrt(eps), False)
         vals[:, sl] = const * np.exp(1j * (q @ pc.T) / eps) * acc.reshape(q.shape[0], -1)
+        del cells, u, theta, acc        # not held while the next chunk is built
     vals = vals.reshape((grid.n_q,) * d + (grid.p_nodes_per_axis,) * d)
     return WindowedCoefficients(band=n, grid=grid, values=vals, eps=eps)
 
@@ -295,24 +304,27 @@ def band_projection(field: WaveField, table: BandTable, n: int, grid: PhaseSpace
     y = out_field.grid_points()
     q = mesh_points(grid.q_axes())
     w = coefficients.values.reshape(q.shape[0], p.shape[0])
+    wq = (w * np.exp(-1j * (q @ p.T) / eps)).reshape((grid.n_q,) * d + (-1,))
+    cells = np.moveaxis(_cell_bloch_values(table, n, slice(None), s), 0, -1).reshape(
+        (1, s) * d + (-1,))
+    row = s * n_out ** (d - 1)          # grid points in one row of cells along axis 0
     total = np.zeros(y.shape[0], dtype=complex)
-    for sl in _p_chunks(p.shape[0], y.shape[0]):
-        pc = p[sl]
-        wq = w[:, sl] * np.exp(-1j * (q @ pc.T) / eps)
-        acc = _apply_windows(wq.reshape((grid.n_q,) * d + (-1,)), out_field, grid, pc,
-                             r_c * np.sqrt(eps), True)
-        # phase * cell values * acc, in place; the cell values repeat over the R^d cells
+    for blk in _chunks(R, row * p.shape[0]):
+        pts = slice(blk.start * row, blk.stop * row)
+        acc = _apply_windows(wq, out_field, grid, p, r_c * np.sqrt(eps), True,
+                             rows=slice(blk.start * s, blk.stop * s))
+        # phase * cell values * acc, in place; the cell values repeat over the cells
         # the phase exp(i y.p / eps), exponentiated in place in one complex
         # buffer; numpy forms 1j * x / eps as i x (1/eps), so the rounding is
-        # that of np.exp(1j * (y @ pc.T) / eps)
-        prod = np.zeros((y.shape[0], pc.shape[0]), dtype=complex)
-        np.multiply(y @ pc.T, 1.0 / eps, out=prod.imag)
+        # that of np.exp(1j * (y @ p.T) / eps)
+        prod = np.zeros((pts.stop - pts.start, p.shape[0]), dtype=complex)
+        np.multiply(y[pts] @ p.T, 1.0 / eps, out=prod.imag)
         np.exp(prod, out=prod)
-        per_cell = prod.reshape((R, s) * d + (-1,))
-        per_cell *= np.moveaxis(_cell_bloch_values(table, n, sl, s), 0, -1).reshape(
-            (1, s) * d + (-1,))
+        per_cell = prod.reshape((-1, s) + (R, s) * (d - 1) + (p.shape[0],))
+        per_cell *= cells
         prod *= acc.reshape(prod.shape)
-        total += np.sum(prod, axis=1)
+        total[pts] += np.sum(prod, axis=1)
+        del acc, prod, per_cell         # not held while the next block is built
     vals = _norm_const(d, eps) * grid.weight * total
     return out_field.with_values(vals.reshape((n_out,) * d))
 

@@ -334,7 +334,9 @@ def test_cmd_propagate_and_reports(config_file):
 def test_report_work_counters(command, config_file, monkeypatch):
     """[work] traj_steps is the seeds times the RK4 steps of every
     integration (T / dt each), and synthesis_window_points the trajectories
-    times min(span, n_x)^d of every synthesis, the t = 0 check included."""
+    times min(span, n_x)^d of every synthesis after t = 0.  propagate's t = 0
+    check counts its synthesis under t0_synthesis_window_points and times it
+    under [timings] t0_synthesize."""
     path, _ = config_file
     cfg = RunConfig.from_text(path.read_text()).apply_overrides(
         ["run.compare_reference=true"]
@@ -351,8 +353,35 @@ def test_report_work_counters(command, config_file, monkeypatch):
     assert len(plans) == (2 if command == "convergence" else 4)
     steps = round(cfg.t_final / cfg.dt)
     assert int(report.get("work", "traj_steps")) == sum(seed_counts) * steps
-    assert int(report.get("work", "synthesis_window_points")) == sum(
-        p.seeds.count * min(p.span, p.out_n_x) for p in plans)
+
+    def points(ps):
+        return sum(p.seeds.count * min(p.span, p.out_n_x) for p in ps)
+
+    t0_plans = plans[:1] if command == "propagate" else []
+    assert int(report.get("work", "synthesis_window_points")) == points(plans[len(t0_plans):])
+    if t0_plans:
+        assert int(report.get("work", "t0_synthesis_window_points")) == points(t0_plans)
+        assert float(report.get("timings", "t0_synthesize")) >= 0.0
+    else:
+        assert "t0_synthesis_window_points" not in report.sections["work"]
+
+
+@pytest.mark.parametrize("command", ["bands", "convergence"])
+def test_report_peak_rss(command, config_file):
+    """Reports carry [work] peak_rss_mb (every command writes its report
+    through pipeline._write_report); convergence also records the peak after
+    each rung, and the values never decrease down the ladder."""
+    path, out = config_file
+    cfg = RunConfig.from_text(path.read_text()).apply_overrides(
+        ["numerics.eps_list=0.125, 0.0625"] if command == "convergence" else [])
+    report = getattr(pipeline, f"cmd_{command}")(cfg)
+    work = report.sections["work"]
+    rungs = ([work[f"peak_rss_mb_eps_{eps!r}"] for eps in (0.125, 0.0625)]
+             if command == "convergence" else [])
+    peaks = [float(v) for v in rungs + [work["peak_rss_mb"]]]
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)
+    assert RunReport.from_text((out / f"report_{command}.txt").read_text()) == report
 
 
 def test_cmd_propagate_t0_equals_projection(config_file, tmp_path):

@@ -1,8 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fgabloch import pipeline, transform
 from fgabloch.bloch import (BrillouinGrid, assemble_bloch_hamiltonian,
                             evaluate_bloch_wave, prepare_band_table, solve_bands)
+from fgabloch.config import RunConfig
 from fgabloch.errors import QuadratureRiskError, ResolutionError
 from fgabloch.potentials import PeriodicPotential
 from fgabloch.transform import (PhaseSpaceGrid, WindowedCoefficients, _cell_bloch_values,
@@ -292,6 +297,108 @@ def test_windowed_mass_ratio_vs_dense_oracle(cos_potential):
     assert abs(m1 / n2 - m2 / n2) <= 1e-8
     # the transform is an isometry up to band truncation: ratio just below 1
     assert 0.999 <= m1 / n2 <= 1.0 + 1e-9
+
+
+# --- chunks and cell blocks --------------------------------------------------
+
+def _counting_windows(monkeypatch):
+    """Patch transform._apply_windows to count its calls (one per chunk or block)."""
+    calls, real = [], transform._apply_windows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "_apply_windows", counting)
+    return calls
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_band_operator_cell_blocks_match_single_block(d, cos_table128, monkeypatch):
+    """The band operator split into blocks of whole cells (3 cells per block,
+    the last one shorter) gives the single-block result: exactly in 1D, to
+    1e-13 relative in 2D."""
+    if d == 1:
+        table, eps, L, out_n_x = cos_table128, 1 / 32, 1.0, 1024
+        psi0, _ = _packet(table, eps=eps, L=L)
+        grid = phase_grid_for_field(psi0, table)
+        r_c, blocks = transform.DEFAULT_RC, 11          # 32 cells of 32 points
+    else:
+        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
+        eps, L = 1 / 4, 2.0
+        out_n_x = int(L / eps) * 8
+        psi0, _ = gaussian_packet(2, eps, L, out_n_x, q0=[1.0, 1.0], p0=[0.3, -0.2])
+        grid = PhaseSpaceGrid(dimension=2, eps=eps, q_start=[0.0, 0.0], dq=0.25, n_q=8,
+                              p_nodes_per_axis=8, c_g=1.6)
+        r_c, blocks = 6.0, 3                             # 8 rows of 8 x 64 points
+    wc = windowed_bloch_transform(psi0, table, 1, grid, r_c=r_c)
+    cell_pairs = table.grid.n_nodes * out_n_x ** d // psi0.cells
+    calls = _counting_windows(monkeypatch)
+    whole = band_projection(psi0, table, 1, grid, r_c=r_c, coefficients=wc, out_n_x=out_n_x)
+    assert len(calls) == 1
+    monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 3 * cell_pairs + 1)
+    split = band_projection(psi0, table, 1, grid, r_c=r_c, coefficients=wc, out_n_x=out_n_x)
+    assert len(calls) == 1 + blocks
+    if d == 1:
+        assert np.array_equal(split.values, whole.values)
+    else:
+        scale = np.abs(whole.values).max()
+        assert np.abs(split.values - whole.values).max() <= 1e-13 * scale
+
+
+def test_band_operator_peak_memory_finest_convergence_grid(cos_table128):
+    """configs/convergence.ini's finest rung (eps = 1/64, L = 4, M = 128) onto
+    its 8,192-point reference grid: the operator's traced peak stays at or
+    below 30 MB (its blocks hold at most 2^19 pairs, 8 MB per buffer)."""
+    eps, L = 1 / 64, 4.0
+    psi0, _ = gaussian_packet(1, eps, L, int(L / eps) * 16, q0=2.0, p0=0.5,
+                              table=cos_table128, band=1)
+    grid = phase_grid_for_field(psi0, cos_table128)
+    wc = windowed_bloch_transform(psi0, cos_table128, 1, grid)
+    proj, peak = _traced_peak(lambda: band_projection(
+        psi0, cos_table128, 1, grid, coefficients=wc, out_n_x=8192))
+    assert proj.n_x == 8192
+    assert peak <= 30e6
+
+
+def test_transform_peak_memory_separable_2d():
+    """The 2D separable problem (eps = 1/8, 64 x 64 points, M = 32): the
+    transform's p-chunks are freed one by one, so its traced peak stays at or
+    below 40 MB."""
+    table = solve_bands(BrillouinGrid(2, 32), PeriodicPotential.cosine(2), 1, 3)
+    psi0, _ = gaussian_packet(2, 1 / 8, 1.0, 64, q0=[0.5, 0.5], p0=[0.4, -0.3])
+    grid = phase_grid_for_field(psi0, table, c_g=0.8, r_c=6.0)
+    wc, peak = _traced_peak(lambda: windowed_bloch_transform(psi0, table, 1, grid, r_c=6.0))
+    assert np.all(np.isfinite(wc.values))
+    assert peak <= 40e6
+
+
+def test_propagate_config_runs_transform_and_operator_as_one_block(monkeypatch):
+    """At configs/propagate.ini's sizes (2,048 field points, 4,096 reference
+    points, M = 128) the transform and the band operator each run as a single
+    chunk or block."""
+    cfg = RunConfig.from_text(
+        (Path(__file__).resolve().parent.parent / "configs" / "propagate.ini").read_text())
+    table = pipeline.build_table(cfg, cfg.eps)
+    psi0, _ = pipeline.build_initial(cfg, table, cfg.eps)
+    grid = phase_grid_for_field(psi0, table, c_g=cfg.c_g, r_c=cfg.r_c)
+    n_ref = pipeline._reference_config(cfg, cfg.eps).n_x
+    assert (psi0.n_x, n_ref, table.grid.nodes_per_axis) == (2048, 4096, 128)
+    calls = _counting_windows(monkeypatch)
+    wc = windowed_bloch_transform(psi0, table, 1, grid, r_c=cfg.r_c)
+    assert len(calls) == 1
+    band_projection(psi0, table, 1, grid, r_c=cfg.r_c, coefficients=wc, out_n_x=n_ref)
+    assert len(calls) == 2
 
 
 # --- 2d smoke ----------------------------------------------------------------
