@@ -20,7 +20,8 @@ from .bloch import (BandTable, BrillouinGrid, band_isolation_check, dispersion_m
 from .config import RunConfig, RunReport
 from .dynamics import HamiltonianModel, integrate_ensemble
 from .errors import ConfigError, NumericError, ResourceLimitError
-from .reference import ReferenceConfig, reference_propagate, reference_steps
+from .reference import (ReferenceConfig, reference_bytes, reference_propagate,
+                        reference_steps)
 from .synthesis import SynthesisPlan, initial_snapshot, synthesize
 from .transform import (_windowed_mass, band_projection, phase_grid_for_field,
                         windowed_bloch_transform)
@@ -80,18 +81,17 @@ def _reference_config(cfg: RunConfig, eps: float) -> ReferenceConfig:
     if cfg.dimension != 1:
         raise ConfigError(f"the reference solver is one-dimensional; got dimension = "
                           f"{cfg.dimension}")
-    n_x = int(round(cfg.length / eps)) * cfg.ref_x_per_cell
-    # field + FFT work + phase tables, and the (L/eps) fiber propagators of
-    # ref_x_per_cell^2 complex entries each
-    est_bytes = n_x * 16 * 8 + n_x * cfg.ref_x_per_cell * 16
-    if est_bytes > cfg.mem_limit_gb * 2 ** 30:
-        raise ResourceLimitError(
-            f"reference grid of {n_x} points needs ~{est_bytes / 2**30:.3g} GiB "
-            f"(> limit {cfg.mem_limit_gb} GiB); lower ref_x_per_cell, L/eps, or "
-            f"raise tolerances.mem_limit_gb")
-    return ReferenceConfig(eps=eps, length=cfg.length, n_x=n_x,
+    rcfg = ReferenceConfig(eps=eps, length=cfg.length,
+                           n_x=int(round(cfg.length / eps)) * cfg.ref_x_per_cell,
                            dt=eps / cfg.ref_dt_divisor, lattice=cfg.lattice(),
                            external=cfg.external(), t_final=cfg.t_final)
+    est_bytes = reference_bytes(rcfg)
+    if est_bytes > cfg.mem_limit_gb * 2 ** 30:
+        raise ResourceLimitError(
+            f"reference grid of {rcfg.n_x} points needs ~{est_bytes / 2**30:.3g} GiB "
+            f"(> limit {cfg.mem_limit_gb} GiB); lower ref_x_per_cell, L/eps, or "
+            f"raise tolerances.mem_limit_gb")
+    return rcfg
 
 
 def write_band_csv(table: BandTable, path):
@@ -194,8 +194,9 @@ def _evolve_stage(cfg: RunConfig, table: BandTable, psi0: WaveField, psg, coeffs
     projection.  Returns band -> (seeds, EnsembleResult),
     t -> [field per band], t -> l2_distance."""
     # reference first: no ensemble is alive during its fine-grid projection,
-    # whose operator blocks hold at most 2^19 p-node/grid-point pairs (on
-    # convergence.ini the finest rung's transform, not this, sets the peak)
+    # whose operator blocks hold at most 2^18 p-node/grid-point pairs; on
+    # convergence.ini the reference's fiber arrays (reference_bytes) tie with
+    # the transform's blocks, about 17 MB traced each, for the peak
     refs, compared_n_x = {}, psi0.n_x
     if rcfg is not None:
         with timer("reference"):
@@ -446,7 +447,24 @@ def cmd_convergence(cfg: RunConfig, out_dir=None) -> RunReport:
     return report
 
 
+_PROC_STATUS = "/proc/self/status"
+
+
+def _threads_effective():
+    """OS threads of this process now (BLAS pools included), read from
+    /proc/self/status; 'unavailable' where that file is absent."""
+    try:
+        with open(_PROC_STATUS) as fh:
+            for line in fh:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return "unavailable"
+
+
 def _write_report(report: RunReport, out_dir, command):
+    report.put("meta", "threads_effective", _threads_effective())
     report.put("work", "peak_rss_mb", _peak_rss_mb())
     with open(os.path.join(out_dir, f"report_{command}.txt"), "w") as fh:
         fh.write(report.to_text())

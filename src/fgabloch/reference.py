@@ -67,6 +67,15 @@ class ReferenceConfig:
         return int(round(self.length / self.eps))
 
 
+def reference_bytes(cfg: ReferenceConfig) -> int:
+    """Bytes reference_propagate holds at its peak: the field terms (field,
+    FFT work, phase tables: 8 complex arrays of n_x points) and five complex
+    (R, s, s) arrays, which are the eigenvectors, their phase-scaled and
+    conjugate copies and the fiber propagators of two checkpoint segments
+    (the last segment's are held while the next segment's are built)."""
+    return cfg.n_x * 16 * 8 + 5 * cfg.n_x * (cfg.n_x // cfg.n_cells) * 16
+
+
 def _segments(cfg: ReferenceConfig, checkpoint_times, u_zero: bool):
     """Checkpoint targets |t| in increasing order, each with its step count:
     the segment length over |dt|, rounded, at least 1; 1 when U is zero."""

@@ -18,13 +18,14 @@ Brillouin grid nodes, so Bloch waves are never interpolated in p here.
 
 One path serves every dimension: the window factors along each axis, and
 its periodized, truncated blocks are contracted axis by axis with the flat
-p-node axis last (the band operator applies the same contraction
-transposed).  Bloch cell values of all requested nodes come from one
-plane-wave matrix.  Memory is bounded by _CHUNK_ENTRIES p-node/grid-point
-pairs: the transform takes the p-nodes in chunks; the band operator takes
-every p-node at once and walks its output grid in blocks of whole lattice
-cells along axis 0, so each window row of axis 0 is built once per call.  A
-chunk's or block's buffers are freed before the next one is built.
+p-node axis last.  The band operator is the exact transpose of the
+transform: it expands axis 0 first, the transform contracts axis 0 last.
+Bloch cell values of every p-node come from one plane-wave matrix.  Memory
+is bounded by _CHUNK_ENTRIES p-node/grid-point pairs: both kernels take
+every p-node at once and walk the grid (the transform's input, the
+operator's output) in blocks of whole lattice-cell rows along axis 0, so
+each window row of axis 0 is built once per call.  A block's buffers are
+freed before the next one is built.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ DEFAULT_RC = 8.0
 DEFAULT_SEED_THRESHOLD = 1e-8
 # fraction of max|psi| below which phase_grid_for_field treats psi as absent
 SUPPORT_THRESHOLD = 1e-8
-# p-node x grid-point pairs a transform chunk or band-operator block holds (8 MB
-# per complex buffer); on configs/propagate.ini the transform (2^18 pairs) and
-# the operator (2^19, on the reference grid) each run as one, and the operator
-# on configs/convergence.ini's finest reference grid (2^20) as two blocks
-_CHUNK_ENTRIES = 2 ** 19
+# p-node x grid-point pairs a block of either kernel holds (4 MB per complex
+# buffer); on configs/propagate.ini the transform (2^18 pairs) and the operator
+# on psi0's grid run as one block, the operator on the reference grid (2^19)
+# as two; on configs/convergence.ini's finest rung the transform (2^19) runs
+# as two blocks and the operator on the reference grid (2^20) as four
+_CHUNK_ENTRIES = 2 ** 18
 
 
 def gaussian_eval(q, p, eps: float, x) -> np.ndarray:
@@ -194,11 +196,15 @@ def _p_nodes(table: BandTable, grid: PhaseSpaceGrid) -> np.ndarray:
     return table.grid.node_points()
 
 
-def _chunks(n: int, entries_per_item: int):
-    """Slices of range(n) holding at most _CHUNK_ENTRIES entries, and one item
-    at least."""
-    step = max(1, _CHUNK_ENTRIES // entries_per_item)
-    return [slice(j, min(j + step, n)) for j in range(0, n, step)]
+def _cell_blocks(field: WaveField, n_p: int):
+    """Blocks of whole lattice-cell rows along axis 0 of the field's grid,
+    each holding at most _CHUNK_ENTRIES pairs of n_p p-nodes and grid points,
+    and one cell row at least: (axis-0 points, flat grid points) slices."""
+    R, s = _field_cells(field)
+    row = s * field.n_x ** (field.dimension - 1)    # grid points in one cell row
+    step = max(1, _CHUNK_ENTRIES // (row * n_p))
+    cells = [(c, min(c + step, R)) for c in range(0, R, step)]
+    return [(slice(a * s, b * s), slice(a * row, b * row)) for a, b in cells]
 
 
 def _image_shifts(length: float, radius: float) -> np.ndarray:
@@ -225,17 +231,21 @@ def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.nda
     The window of axis a is a sum of blocks, one per torus image `shift`,
     block[i, j] = truncated window at rho = x_j - q_i + shift (x: the axis of
     `on`, only its points `rows` on axis 0), each with the phase
-    exp(-+ i p_a shift / eps).  The transform maps x to q (adjoint False);
-    the band operator maps q to x.  Blocks are built one at a time, so at
-    most one is held.
+    exp(-+ i p_a shift / eps).  The transform maps x to q (adjoint False),
+    axis 0 last; the band operator maps q to x, axis 0 first.  So no axis but
+    the blocked axis 0 is contracted per block of `rows`.  Blocks are built
+    one at a time, so at most one is held.
     """
     axis, eps = on.axis_points(), on.eps
     sign = 1j if adjoint else -1j
-    for a, q in enumerate(grid.q_axes()):
+    axes = list(enumerate(grid.q_axes()))
+    for a, q in (axes if adjoint else axes[::-1]):
         x = axis[rows] if a == 0 else axis
-        moved = np.moveaxis(t, a, 0)
-        flat = moved.reshape(moved.shape[0], -1)
-        acc = np.zeros(((x if adjoint else q).size,) + moved.shape[1:], dtype=complex)
+        # (axes before a, axis a, the rest) is a view of t in both kernels, so
+        # b @ flat runs as a batch over the axes before a and copies no input
+        flat = t.reshape(int(np.prod(t.shape[:a])), t.shape[a], -1)
+        acc = np.zeros(t.shape[:a] + ((x if adjoint else q).size,) + t.shape[a + 1:],
+                       dtype=complex)
         for shift in _image_shifts(on.length, radius):
             block = _truncated_window(x[None, :] - q[:, None] + shift, eps, radius)
             if not block.any():
@@ -245,7 +255,7 @@ def _apply_windows(t: np.ndarray, on: WaveField, grid: PhaseSpaceGrid, p: np.nda
             term *= np.exp(sign * p[:, a] * shift / eps)
             acc += term
             del term            # not held while the next block is built
-        t = np.moveaxis(acc, 0, a)
+        t = acc
     return t
 
 
@@ -267,17 +277,18 @@ def windowed_bloch_transform(field: WaveField, table: BandTable, n: int,
     x = field.grid_points()
     q = mesh_points(grid.q_axes())
     psi = field.values.ravel()
-    const = _norm_const(d, eps)
-    vals = np.empty((q.shape[0], p.shape[0]), dtype=complex)
-    for sl in _chunks(p.shape[0], psi.size):
-        pc = p[sl]
-        cells = _cell_bloch_values(table, n, sl, s)
-        u = np.tile(cells, (1,) + (R,) * d).reshape(cells.shape[0], -1)
-        theta = (np.conj(u) * np.exp(-1j * (pc @ x.T) / eps) * psi[None, :]).T * field.dx ** d
-        acc = _apply_windows(theta.reshape((field.n_x,) * d + (-1,)), field, grid, pc,
-                             r_c * np.sqrt(eps), False)
-        vals[:, sl] = const * np.exp(1j * (q @ pc.T) / eps) * acc.reshape(q.shape[0], -1)
-        del cells, u, theta, acc        # not held while the next chunk is built
+    cells = _cell_bloch_values(table, n, slice(None), s)
+    total = np.zeros((q.shape[0], p.shape[0]), dtype=complex)
+    for rows, pts in _cell_blocks(field, p.shape[0]):
+        n_rows = rows.stop - rows.start
+        u = np.tile(cells, (1, n_rows // s) + (R,) * (d - 1)).reshape(cells.shape[0], -1)
+        theta = (np.conj(u) * np.exp(-1j * (p @ x[pts].T) / eps)
+                 * psi[None, pts]).T * field.dx ** d
+        total += _apply_windows(theta.reshape((n_rows,) + (field.n_x,) * (d - 1) + (-1,)),
+                                field, grid, p, r_c * np.sqrt(eps), False,
+                                rows=rows).reshape(total.shape)
+        del u, theta            # not held while the next block is built
+    vals = _norm_const(d, eps) * np.exp(1j * (q @ p.T) / eps) * total
     vals = vals.reshape((grid.n_q,) * d + (grid.p_nodes_per_axis,) * d)
     return WindowedCoefficients(band=n, grid=grid, values=vals, eps=eps)
 
@@ -307,12 +318,9 @@ def band_projection(field: WaveField, table: BandTable, n: int, grid: PhaseSpace
     wq = (w * np.exp(-1j * (q @ p.T) / eps)).reshape((grid.n_q,) * d + (-1,))
     cells = np.moveaxis(_cell_bloch_values(table, n, slice(None), s), 0, -1).reshape(
         (1, s) * d + (-1,))
-    row = s * n_out ** (d - 1)          # grid points in one row of cells along axis 0
     total = np.zeros(y.shape[0], dtype=complex)
-    for blk in _chunks(R, row * p.shape[0]):
-        pts = slice(blk.start * row, blk.stop * row)
-        acc = _apply_windows(wq, out_field, grid, p, r_c * np.sqrt(eps), True,
-                             rows=slice(blk.start * s, blk.stop * s))
+    for rows, pts in _cell_blocks(out_field, p.shape[0]):
+        acc = _apply_windows(wq, out_field, grid, p, r_c * np.sqrt(eps), True, rows=rows)
         # phase * cell values * acc, in place; the cell values repeat over the cells
         # the phase exp(i y.p / eps), exponentiated in place in one complex
         # buffer; numpy forms 1j * x / eps as i x (1/eps), so the rounding is

@@ -384,6 +384,20 @@ def test_report_peak_rss(command, config_file):
     assert RunReport.from_text((out / f"report_{command}.txt").read_text()) == report
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_report_threads_effective(config_file, monkeypatch):
+    """[meta] threads_effective is the process's OS thread count when the
+    report is written (one /proc/self/task entry per thread), and
+    'unavailable' where /proc/self/status is absent."""
+    path, out = config_file
+    cfg = RunConfig.from_text(path.read_text())
+    report = pipeline.cmd_bands(cfg)
+    assert int(report.get("meta", "threads_effective")) == len(os.listdir("/proc/self/task"))
+    assert RunReport.from_text((out / "report_bands.txt").read_text()) == report
+    monkeypatch.setattr(pipeline, "_PROC_STATUS", str(out / "no_such_status"))
+    assert pipeline.cmd_bands(cfg).get("meta", "threads_effective") == "unavailable"
+
+
 def test_cmd_propagate_t0_equals_projection(config_file, tmp_path):
     path, out = config_file
     cfg = RunConfig.from_text(path.read_text())
@@ -486,9 +500,9 @@ def test_reference_commands_refuse_before_any_band_table(tmp_path, monkeypatch):
         pipeline.cmd_convergence(cfg)
     with pytest.raises(ConfigError, match="one-dimensional"):
         pipeline.cmd_reference(replace(cfg, eps_list=(0.25,)))
-    # 1D, L = 2: 1,024 and 2,048 reference points need 0.63 and 1.25 MiB
+    # 1D, L = 2: 1,024 and 2,048 reference points need 2.6 and 5.3 MiB
     from fgabloch.errors import ResourceLimitError
-    one_d = RunConfig(length=2.0, eps_list=(0.0625, 0.03125), mem_limit_gb=1e-3,
+    one_d = RunConfig(length=2.0, eps_list=(0.0625, 0.03125), mem_limit_gb=4e-3,
                       out_dir=str(tmp_path))
     with pytest.raises(ResourceLimitError, match="2048 points"):
         pipeline.cmd_convergence(one_d)

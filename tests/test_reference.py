@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from fgabloch.bloch import BrillouinGrid, evaluate_bloch_wave, prepare_band_tabl
 from fgabloch.errors import GridMismatchError, InvalidInputError, ResolutionError
 from fgabloch.exact import gaussian_evolution
 from fgabloch.potentials import PeriodicPotential, harmonic_potential, zero_potential
-from fgabloch.reference import ReferenceConfig, reference_propagate, reference_steps
+from fgabloch.reference import (ReferenceConfig, reference_bytes, reference_propagate,
+                                reference_steps)
 from fgabloch.wavefield import WaveField, gaussian_packet, l2_distance
 
 
@@ -219,3 +222,22 @@ def test_exact_evolution_rejects_unsupported_potential():
     f = WaveField(1, 1 / 16, 1.0, np.zeros(512, complex), 0.0)
     with pytest.raises(InvalidInputError):
         gaussian_evolution(f, cubic_potential(), 0.5, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("eps, length, s", [(1 / 64, 4.0, 32), (1 / 8, 1.0, 256)])
+def test_reference_bytes_bounds_traced_peak(cos_potential, eps, length, s):
+    """reference_bytes, which the memory-limit check uses, bounds the traced
+    peak of a two-segment run with U != 0: at configs/convergence.ini's
+    finest reference grid, where the field terms count, and with 256 points
+    per cell, where the fiber arrays dominate.  It is not loose either."""
+    n_x = int(round(length / eps)) * s
+    cfg = ReferenceConfig(eps=eps, length=length, n_x=n_x, dt=eps / 40, lattice=cos_potential,
+                          external=harmonic_potential(1, 1.0, length / 2), t_final=0.1)
+    psi0, _ = _packet(eps, length, n_x, q0=length / 2)
+    tracemalloc.start()
+    try:
+        reference_propagate(psi0, cfg, checkpoint_times=[0.05, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * reference_bytes(cfg) <= peak <= reference_bytes(cfg)

@@ -299,10 +299,10 @@ def test_windowed_mass_ratio_vs_dense_oracle(cos_potential):
     assert 0.999 <= m1 / n2 <= 1.0 + 1e-9
 
 
-# --- chunks and cell blocks --------------------------------------------------
+# --- cell blocks -------------------------------------------------------
 
 def _counting_windows(monkeypatch):
-    """Patch transform._apply_windows to count its calls (one per chunk or block)."""
+    """Patch transform._apply_windows to count its calls (one per block)."""
     calls, real = [], transform._apply_windows
 
     def counting(*args, **kwargs):
@@ -323,24 +323,31 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _split_case(d, table128):
+    """(table, field, phase-space grid, r_c, p-node/grid-point pairs of one
+    cell row) of the cell-block tests: 32 cells of 16 points in 1D, 8 rows
+    of 8 x 64 points in 2D; either kernel runs one block at the default
+    _CHUNK_ENTRIES."""
+    if d == 1:
+        psi0, _ = _packet(table128, eps=1 / 32, L=1.0)
+        table, grid, r_c = table128, phase_grid_for_field(psi0, table128), transform.DEFAULT_RC
+    else:
+        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
+        psi0, _ = gaussian_packet(2, 1 / 4, 2.0, 64, q0=[1.0, 1.0], p0=[0.3, -0.2])
+        grid = PhaseSpaceGrid(dimension=2, eps=1 / 4, q_start=[0.0, 0.0], dq=0.25, n_q=8,
+                              p_nodes_per_axis=8, c_g=1.6)
+        r_c = 6.0
+    return table, psi0, grid, r_c, table.grid.n_nodes * psi0.n_x ** d // psi0.cells
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_band_operator_cell_blocks_match_single_block(d, cos_table128, monkeypatch):
     """The band operator split into blocks of whole cells (3 cells per block,
     the last one shorter) gives the single-block result: exactly in 1D, to
     1e-13 relative in 2D."""
-    if d == 1:
-        table, eps, L, out_n_x = cos_table128, 1 / 32, 1.0, 1024
-        psi0, _ = _packet(table, eps=eps, L=L)
-        grid = phase_grid_for_field(psi0, table)
-        r_c, blocks = transform.DEFAULT_RC, 11          # 32 cells of 32 points
-    else:
-        table = prepare_band_table(BrillouinGrid(2, 8), PeriodicPotential.cosine(2, 0.5), 2, 2)
-        eps, L = 1 / 4, 2.0
-        out_n_x = int(L / eps) * 8
-        psi0, _ = gaussian_packet(2, eps, L, out_n_x, q0=[1.0, 1.0], p0=[0.3, -0.2])
-        grid = PhaseSpaceGrid(dimension=2, eps=eps, q_start=[0.0, 0.0], dq=0.25, n_q=8,
-                              p_nodes_per_axis=8, c_g=1.6)
-        r_c, blocks = 6.0, 3                             # 8 rows of 8 x 64 points
+    table, psi0, grid, r_c, _ = _split_case(d, cos_table128)
+    out_n_x = 1024 if d == 1 else psi0.n_x
+    blocks = 11 if d == 1 else 3                    # 32 cells of 32 points; 8 rows
     wc = windowed_bloch_transform(psi0, table, 1, grid, r_c=r_c)
     cell_pairs = table.grid.n_nodes * out_n_x ** d // psi0.cells
     calls = _counting_windows(monkeypatch)
@@ -356,10 +363,56 @@ def test_band_operator_cell_blocks_match_single_block(d, cos_table128, monkeypat
         assert np.abs(split.values - whole.values).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_transform_cell_blocks_match_single_block(d, cos_table128, monkeypatch):
+    """The transform split into blocks of whole cell rows (3 per block, the
+    last one shorter) gives the single-block coefficients to 1e-14 relative
+    in 1D and 1e-13 in 2D, and builds each window entry of axis 0 once per
+    call: only axis 1's windows are built once per block."""
+    table, psi0, grid, r_c, cell_pairs = _split_case(d, cos_table128)
+    n_images = transform._image_shifts(psi0.length, r_c * np.sqrt(psi0.eps)).size
+    calls, entries, real = _counting_windows(monkeypatch), [], transform._truncated_window
+
+    def counting(rho, *args):
+        entries.append(rho.size)
+        return real(rho, *args)
+
+    monkeypatch.setattr(transform, "_truncated_window", counting)
+    results, split_blocks = [], 11 if d == 1 else 3
+    for budget, blocks in ((transform._CHUNK_ENTRIES, 1), (3 * cell_pairs + 1, split_blocks)):
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", budget)
+        calls.clear()
+        entries.clear()
+        results.append(windowed_bloch_transform(psi0, table, 1, grid, r_c=r_c).values)
+        assert len(calls) == blocks
+        assert sum(entries) == n_images * grid.n_q * psi0.n_x * (1 + (d - 1) * blocks)
+    whole, split = results
+    tol = 1e-14 if d == 1 else 1e-13
+    assert np.abs(split - whole).max() <= tol * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_duality_with_both_kernels_split(d, cos_table128, rng, monkeypatch):
+    """<Pi f, g> = <f, Pi g> when the transform and the band operator each
+    run in several cell blocks."""
+    table, psi0, grid, r_c, cell_pairs = _split_case(d, cos_table128)
+    shape = psi0.values.shape
+    f, g = (psi0.with_values(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            for _ in range(2))
+    calls = _counting_windows(monkeypatch)
+    monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 3 * cell_pairs + 1)
+    pf = band_projection(f, table, 1, grid, r_c=r_c)
+    assert len(calls) == (22 if d == 1 else 6)      # both kernels, 11 or 3 blocks each
+    pg = band_projection(g, table, 1, grid, r_c=r_c)
+    lhs = np.vdot(pf.values, g.values)
+    rhs = np.vdot(f.values, pg.values)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
 def test_band_operator_peak_memory_finest_convergence_grid(cos_table128):
     """configs/convergence.ini's finest rung (eps = 1/64, L = 4, M = 128) onto
     its 8,192-point reference grid: the operator's traced peak stays at or
-    below 30 MB (its blocks hold at most 2^19 pairs, 8 MB per buffer)."""
+    below 16 MB (four blocks of 2^18 pairs, 4 MB per buffer)."""
     eps, L = 1 / 64, 4.0
     psi0, _ = gaussian_packet(1, eps, L, int(L / eps) * 16, q0=2.0, p0=0.5,
                               table=cos_table128, band=1)
@@ -368,13 +421,26 @@ def test_band_operator_peak_memory_finest_convergence_grid(cos_table128):
     proj, peak = _traced_peak(lambda: band_projection(
         psi0, cos_table128, 1, grid, coefficients=wc, out_n_x=8192))
     assert proj.n_x == 8192
-    assert peak <= 30e6
+    assert peak <= 16e6
+
+
+def test_transform_peak_memory_finest_convergence_grid(cos_table128):
+    """configs/convergence.ini's finest rung (eps = 1/64, L = 4, M = 128,
+    4,096 points): the transform's traced peak stays at or below 20 MB (two
+    blocks of 2^18 pairs)."""
+    eps, L = 1 / 64, 4.0
+    psi0, _ = gaussian_packet(1, eps, L, int(L / eps) * 16, q0=2.0, p0=0.5,
+                              table=cos_table128, band=1)
+    grid = phase_grid_for_field(psi0, cos_table128)
+    wc, peak = _traced_peak(lambda: windowed_bloch_transform(psi0, cos_table128, 1, grid))
+    assert np.all(np.isfinite(wc.values))
+    assert peak <= 20e6
 
 
 def test_transform_peak_memory_separable_2d():
     """The 2D separable problem (eps = 1/8, 64 x 64 points, M = 32): the
-    transform's p-chunks are freed one by one, so its traced peak stays at or
-    below 40 MB."""
+    transform's cell-row blocks are freed one by one, so its traced peak
+    stays at or below 40 MB."""
     table = solve_bands(BrillouinGrid(2, 32), PeriodicPotential.cosine(2), 1, 3)
     psi0, _ = gaussian_packet(2, 1 / 8, 1.0, 64, q0=[0.5, 0.5], p0=[0.4, -0.3])
     grid = phase_grid_for_field(psi0, table, c_g=0.8, r_c=6.0)
@@ -385,8 +451,9 @@ def test_transform_peak_memory_separable_2d():
 
 def test_propagate_config_runs_transform_and_operator_as_one_block(monkeypatch):
     """At configs/propagate.ini's sizes (2,048 field points, 4,096 reference
-    points, M = 128) the transform and the band operator each run as a single
-    chunk or block."""
+    points, M = 128) the transform and the band operator on psi0's grid each
+    run as a single block, with the operations of a whole-grid call, and the
+    operator on the reference grid as two."""
     cfg = RunConfig.from_text(
         (Path(__file__).resolve().parent.parent / "configs" / "propagate.ini").read_text())
     table = pipeline.build_table(cfg, cfg.eps)
@@ -397,8 +464,10 @@ def test_propagate_config_runs_transform_and_operator_as_one_block(monkeypatch):
     calls = _counting_windows(monkeypatch)
     wc = windowed_bloch_transform(psi0, table, 1, grid, r_c=cfg.r_c)
     assert len(calls) == 1
-    band_projection(psi0, table, 1, grid, r_c=cfg.r_c, coefficients=wc, out_n_x=n_ref)
+    band_projection(psi0, table, 1, grid, r_c=cfg.r_c, coefficients=wc)
     assert len(calls) == 2
+    band_projection(psi0, table, 1, grid, r_c=cfg.r_c, coefficients=wc, out_n_x=n_ref)
+    assert len(calls) == 4
 
 
 # --- 2d smoke ----------------------------------------------------------------
